@@ -16,12 +16,11 @@ Two layers:
   ``alps_cell_20`` additionally carries the fast-path acceptance
   target: ``REPRO_PERF_TARGET_RATIO`` × baseline (default 2.0).
 
-The backend cells (``*_strict`` / ``*_batch`` / ``*_resident``) extend
-the series with the explicit kernel backends: event counts must match
-within each pair, and the decay-dominated gate pair carries both
-speedup gates — batch over strict, and resident over batch — armed by
-``REPRO_SUBSTRATE_MIN_SPEEDUP`` (the ``substrate-batch`` and
-``substrate-resident`` CI jobs set it).
+The backend cells (``*_strict`` / ``*_resident``) extend the series
+with the explicit kernel backends: event counts must match within each
+pair, and the decay-dominated gate pair carries the resident-over-strict
+speedup gate, armed by ``REPRO_SUBSTRATE_MIN_SPEEDUP`` (the
+``substrate-resident`` CI job sets it).
 """
 
 import csv
@@ -34,8 +33,6 @@ from benchmarks.conftest import emit
 from benchmarks.substrate_cells import (
     BACKEND_PAIRS,
     GATE_PAIR,
-    RESIDENT_GATE_PAIR,
-    RESIDENT_PAIRS,
     SWEEP_CELLS,
     load_baseline,
     run_all,
@@ -190,24 +187,23 @@ def test_alps_cell_20_meets_speedup_target():
 
 @pytest.mark.parametrize("pair", sorted(BACKEND_PAIRS))
 def test_backend_pair_event_counts_match(pair):
-    """Strict and batch cells of a pair must process identical event
+    """Strict and resident cells of a pair must process identical event
     counts (the schedule-invisibility contract, at benchmark scale)."""
-    strict_cell, batch_cell = BACKEND_PAIRS[pair]
+    strict_cell, resident_cell = BACKEND_PAIRS[pair]
     strict = run_cell(strict_cell, repeats=1)
-    batch = run_cell(batch_cell, repeats=1)
-    assert batch.events == strict.events, (
-        f"{pair}: batch processed {batch.events} events vs strict "
-        f"{strict.events} — the batch backend changed the schedule"
+    resident = run_cell(resident_cell, repeats=1)
+    assert resident.events == strict.events, (
+        f"{pair}: resident processed {resident.events} events vs strict "
+        f"{strict.events} — the resident backend changed the schedule"
     )
 
 
-#: Batch-over-strict speedup gate, activated by setting
-#: ``REPRO_SUBSTRATE_MIN_SPEEDUP`` (the substrate-batch CI job sets it;
-#: see docs/performance.md for the measured ceiling of the pure-Python
-#: backend before pinning a value).  The ratio compares strict and
-#: batch measured back-to-back in this process — machine-portable —
-#: while the committed baseline anchors the event counts and provides
-#: the reference throughput for the report.
+#: Resident-over-strict speedup gate, activated by setting
+#: ``REPRO_SUBSTRATE_MIN_SPEEDUP`` (the substrate-resident CI job sets
+#: it).  The ratio compares strict and resident measured back-to-back in
+#: this process — machine-portable — while the committed baseline
+#: anchors the event counts and provides the reference ratio for the
+#: report.
 MIN_SPEEDUP = os.environ.get("REPRO_SUBSTRATE_MIN_SPEEDUP")
 
 
@@ -215,103 +211,38 @@ MIN_SPEEDUP = os.environ.get("REPRO_SUBSTRATE_MIN_SPEEDUP")
     MIN_SPEEDUP is None,
     reason="speedup gate disarmed (set REPRO_SUBSTRATE_MIN_SPEEDUP)",
 )
-def test_batch_backend_meets_speedup_gate():
-    """Batch ≥ MIN_SPEEDUP × strict on the decay-dominated gate pair."""
+def test_resident_backend_meets_speedup_gate():
+    """Resident ≥ MIN_SPEEDUP × strict on the decay-dominated gate pair.
+
+    Both event counts must equal the committed baseline — a resident
+    "speedup" that changes the schedule is a bug, not a win.
+    """
     baseline = load_baseline(BASELINE_CSV)
-    strict_cell, batch_cell = BACKEND_PAIRS[GATE_PAIR]
+    strict_cell, resident_cell = BACKEND_PAIRS[GATE_PAIR]
     strict = run_cell(strict_cell, repeats=3)
-    batch = run_cell(batch_cell, repeats=3)
-    assert batch.events == strict.events
-    for result, cell in ((strict, strict_cell), (batch, batch_cell)):
+    resident = run_cell(resident_cell, repeats=5)
+    assert resident.events == strict.events
+    for result, cell in ((strict, strict_cell), (resident, resident_cell)):
         assert result.events == baseline[cell]["events"], (
             f"{cell}: event count {result.events} != committed baseline "
             f"{baseline[cell]['events']}"
         )
-    speedup = batch.events_per_sec / strict.events_per_sec
+    speedup = resident.events_per_sec / strict.events_per_sec
     base_speedup = (
-        baseline[batch_cell]["events_per_sec"]
+        baseline[resident_cell]["events_per_sec"]
         / baseline[strict_cell]["events_per_sec"]
     )
     emit(
-        f"Batch speedup gate ({GATE_PAIR})",
-        f"batch {batch.events_per_sec:,.1f} ev/s vs strict "
+        f"Resident speedup gate ({GATE_PAIR})",
+        f"resident {resident.events_per_sec:,.1f} ev/s vs strict "
         f"{strict.events_per_sec:,.1f} ev/s = {speedup:.2f}x "
         f"(committed baseline ratio {base_speedup:.2f}x, "
         f"gate {float(MIN_SPEEDUP):.1f}x)",
     )
     assert speedup >= float(MIN_SPEEDUP), (
-        f"batch backend at {speedup:.2f}x strict on {GATE_PAIR}, below "
+        f"resident backend at {speedup:.2f}x strict on {GATE_PAIR}, below "
         f"the {float(MIN_SPEEDUP):.1f}x gate (committed baseline ratio: "
         f"{base_speedup:.2f}x)"
-    )
-
-
-@pytest.mark.parametrize("pair", sorted(RESIDENT_PAIRS))
-def test_resident_pair_event_counts_match(pair):
-    """Batch and resident cells of a pair must process identical event
-    counts (the resident backend is schedule-invisible too)."""
-    batch_cell, resident_cell = RESIDENT_PAIRS[pair]
-    batch = run_cell(batch_cell, repeats=1)
-    resident = run_cell(resident_cell, repeats=1)
-    assert resident.events == batch.events, (
-        f"{pair}: resident processed {resident.events} events vs batch "
-        f"{batch.events} — the resident backend changed the schedule"
-    )
-
-
-#: Resident-over-batch speedup floor when the gate is armed.  The
-#: default depends on which fastloop implementation loaded: the
-#: interpreted dispatch loop leaves more scalar overhead in both
-#: backends, compressing the ratio, so the floors differ (1.5x
-#: interpreted, 2.0x compiled).  Override with
-#: ``REPRO_RESIDENT_MIN_SPEEDUP`` for unusual machines.
-def _resident_min_speedup() -> float:
-    override = os.environ.get("REPRO_RESIDENT_MIN_SPEEDUP")
-    if override is not None:
-        return float(override)
-    from repro.sim.fastloop import ACTIVE_IMPL
-
-    return 2.0 if ACTIVE_IMPL == "compiled" else 1.5
-
-
-@pytest.mark.skipif(
-    MIN_SPEEDUP is None,
-    reason="speedup gate disarmed (set REPRO_SUBSTRATE_MIN_SPEEDUP)",
-)
-def test_resident_backend_meets_speedup_gate():
-    """Resident ≥ floor × batch on the decay-dominated gate pair.
-
-    Armed together with the batch gate by
-    ``REPRO_SUBSTRATE_MIN_SPEEDUP`` (the ``substrate-resident`` CI job
-    arms it for both fastloop implementations); the floor itself comes
-    from :func:`_resident_min_speedup`.  Both cells are measured
-    back-to-back in this process so the ratio is machine-portable, and
-    both event counts must equal the committed baseline — a resident
-    "speedup" that changes the schedule is a bug, not a win.
-    """
-    from repro.sim.fastloop import ACTIVE_IMPL
-
-    floor = _resident_min_speedup()
-    baseline = load_baseline(BASELINE_CSV)
-    batch_cell, resident_cell = RESIDENT_PAIRS[RESIDENT_GATE_PAIR]
-    batch = run_cell(batch_cell, repeats=5)
-    resident = run_cell(resident_cell, repeats=5)
-    assert resident.events == batch.events
-    for result, cell in ((batch, batch_cell), (resident, resident_cell)):
-        assert result.events == baseline[cell]["events"], (
-            f"{cell}: event count {result.events} != committed baseline "
-            f"{baseline[cell]['events']}"
-        )
-    speedup = resident.events_per_sec / batch.events_per_sec
-    emit(
-        f"Resident speedup gate ({RESIDENT_GATE_PAIR}, fastloop={ACTIVE_IMPL})",
-        f"resident {resident.events_per_sec:,.1f} ev/s vs batch "
-        f"{batch.events_per_sec:,.1f} ev/s = {speedup:.2f}x "
-        f"(floor {floor:.1f}x)",
-    )
-    assert speedup >= floor, (
-        f"resident backend at {speedup:.2f}x batch on {RESIDENT_GATE_PAIR}, "
-        f"below the {floor:.1f}x gate (fastloop={ACTIVE_IMPL})"
     )
 
 

@@ -32,15 +32,6 @@ from repro.workloads.scenarios import build_controlled_workload
 from repro.workloads.spinner import spinner_behavior
 
 
-def _kernel_config(backend: str) -> KernelConfig:
-    """Cell kernel config for an explicit backend name.
-
-    ``strict`` is carried alongside so the strict cell measures the
-    reference eager kernel rather than strict-flagged dispatch quirks.
-    """
-    return KernelConfig(strict=(backend == "strict"), backend=backend)
-
-
 @dataclass(frozen=True)
 class CellResult:
     name: str
@@ -77,7 +68,7 @@ def _alps_cell(n: int, backend: str = "auto") -> Callable[[], int]:
     def run() -> int:
         kwargs = {}
         if backend != "auto":
-            kwargs["kernel_config"] = _kernel_config(backend)
+            kwargs["kernel_config"] = KernelConfig(backend=backend)
         cw = build_controlled_workload(
             [5] * n, AlpsConfig(quantum_us=ms(10)), seed=0, **kwargs
         )
@@ -92,13 +83,13 @@ def _kernel_decay_cell(n: int, backend: str) -> Callable[[], int]:
 
     No ALPS agent: with ``n`` spinners and one CPU, almost all wall time
     goes into decaying ``n`` PCBs once per simulated second — the path
-    the batch backend vectorizes, so this pair carries the batch-speedup
-    gate.
+    the resident backend vectorizes, so this pair carries the resident
+    speedup gate.
     """
 
     def run() -> int:
         eng = Engine(seed=0)
-        kernel = make_kernel(eng, _kernel_config(backend))
+        kernel = make_kernel(eng, KernelConfig(backend=backend))
         for i in range(n):
             kernel.spawn(f"p{i}", spinner_behavior())
         eng.run_until(sec(20))
@@ -119,61 +110,35 @@ CELLS: dict[str, Callable[[], int]] = {
     # Event counts must be identical within a pair (schedule-invisible
     # backends); events/sec is what the speedup gate compares.
     "alps_cell_20_strict": _alps_cell(20, "strict"),
-    "alps_cell_20_batch": _alps_cell(20, "batch"),
     "alps_cell_20_resident": _alps_cell(20, "resident"),
     "alps_cell_400_strict": _alps_cell(400, "strict"),
-    "alps_cell_400_batch": _alps_cell(400, "batch"),
     "alps_cell_400_resident": _alps_cell(400, "resident"),
     # Beyond-paper scale: the regime the resident backend targets
-    # (thousands of scheduled entities under one ALPS agent).
+    # (thousands of scheduled entities under one ALPS agent), which
+    # ``auto`` selects here.
     "alps_cell_1000": _alps_cell(1000),
     "kernel_decay_3000_strict": _kernel_decay_cell(3000, "strict"),
-    "kernel_decay_3000_batch": _kernel_decay_cell(3000, "batch"),
     "kernel_decay_3000_resident": _kernel_decay_cell(3000, "resident"),
 }
 
 #: Kernel backend measured by each cell ("auto" = the library default).
 #: Written as the ``backend`` column of the baseline CSV.
 CELL_BACKENDS: dict[str, str] = {
-    name: (
-        "strict"
-        if name.endswith("_strict")
-        else (
-            "batch"
-            if name.endswith("_batch")
-            else "resident" if name.endswith("_resident") else "auto"
-        )
+    name: next(
+        (b for b in ("strict", "resident") if name.endswith(f"_{b}")), "auto"
     )
     for name in CELLS
 }
 
-#: Backend pairs (strict cell, batch cell) whose event counts must
-#: match exactly and whose events/sec ratio is the batch speedup.
+#: Backend pairs (strict cell, resident cell) whose event counts must
+#: match exactly and whose events/sec ratio is the resident speedup.
 BACKEND_PAIRS: dict[str, tuple[str, str]] = {
-    "alps_cell_20": ("alps_cell_20_strict", "alps_cell_20_batch"),
-    "alps_cell_400": ("alps_cell_400_strict", "alps_cell_400_batch"),
-    "kernel_decay_3000": (
-        "kernel_decay_3000_strict",
-        "kernel_decay_3000_batch",
-    ),
-}
-
-#: Resident pairs (batch cell, resident cell): same exact-event-count
-#: contract; the events/sec ratio is the resident-over-batch speedup.
-RESIDENT_PAIRS: dict[str, tuple[str, str]] = {
-    "alps_cell_20": ("alps_cell_20_batch", "alps_cell_20_resident"),
-    "alps_cell_400": ("alps_cell_400_batch", "alps_cell_400_resident"),
-    "kernel_decay_3000": (
-        "kernel_decay_3000_batch",
-        "kernel_decay_3000_resident",
-    ),
+    pair: (f"{pair}_strict", f"{pair}_resident")
+    for pair in ("alps_cell_20", "alps_cell_400", "kernel_decay_3000")
 }
 
 #: The pair carrying the ``REPRO_SUBSTRATE_MIN_SPEEDUP`` gate.
 GATE_PAIR = "kernel_decay_3000"
-
-#: The RESIDENT_PAIRS entry carrying the resident speedup gate.
-RESIDENT_GATE_PAIR = "kernel_decay_3000"
 
 #: The cells forming the Fig. 8/9-style scalability sweep (wall-clock
 #: series over process count).

@@ -1,33 +1,9 @@
-"""Build script: pure-Python by default, compiled dispatch core opt-in.
+"""Build script shim: all metadata lives in pyproject.toml.
 
-``pip install -e .`` installs the plain-Python package — no compiler,
-no extra dependency.  Setting ``REPRO_COMPILED=1`` additionally
-compiles :mod:`repro.sim._fastloop` (the extracted dispatch core; see
-src/repro/sim/fastloop.py) with mypyc:
-
-    REPRO_COMPILED=1 pip install -e .
-
-The compiled extension shadows ``_fastloop.py``; the fastloop loader
-reports which implementation resolved as ``ACTIVE_IMPL`` and both are
-byte-identical in behavior.  Requesting compilation without mypy[mypyc]
-installed is a hard error rather than a silent fallback — mirroring the
-loader's own ``REPRO_COMPILED=1`` arming guard.
+Kept so that ``python setup.py develop`` works in offline environments
+without the ``wheel`` package (see README.md, "Install").
 """
-
-import os
 
 from setuptools import setup
 
-ext_modules = []
-if os.environ.get("REPRO_COMPILED") == "1":
-    try:
-        from mypyc.build import mypycify
-    except ImportError as exc:  # pragma: no cover - build-time guard
-        raise SystemExit(
-            "REPRO_COMPILED=1 requires mypy (mypyc) to build the "
-            "compiled dispatch core: pip install mypy, or unset "
-            "REPRO_COMPILED to install the pure-Python fallback"
-        ) from exc
-    ext_modules = mypycify(["src/repro/sim/_fastloop.py"])
-
-setup(ext_modules=ext_modules)
+setup()

@@ -831,8 +831,9 @@ class AlpsAgent:
         """
         now = kapi.now  # no events fire inside next_action: read once
         self.sampling_delays_us.append(now - self._wake_boundary)
-        # Batched measurement fast path: only the batch backend's kapi
-        # (repro.kernel.batch.BatchKernelAPI) advertises ``measure_many``.
+        # Batched measurement fast path: only the resident backend's kapi
+        # (repro.kernel.resident.ResidentKernelAPI) advertises
+        # ``measure_many``.
         # Fault wrappers deliberately do not forward it — the injector
         # must see every individual read to keep its per-call RNG draw
         # order — so faulted and classic kapis take the per-pid loop.
@@ -945,7 +946,7 @@ class AlpsAgent:
     def _measure_batched(
         self, measure_many
     ) -> tuple[dict[int, tuple[int, bool]], dict[int, Optional[bool]]]:
-        """One-call measurement over every due pid (batch backend only).
+        """One-call measurement over every due pid (resident backend only).
 
         Behaviorally identical to :meth:`_measure_classic`: same
         per-pid readings (``measure_many`` reuses the getrusage

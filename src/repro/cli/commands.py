@@ -719,8 +719,7 @@ def cmd_perf_report(
     """Run a controlled workload with counters attached and report them.
 
     ``backend="all"`` instead runs the same workload once per kernel
-    backend and prints the active fastloop implementation plus a
-    side-by-side events/sec comparison table.
+    backend and prints a side-by-side events/sec comparison table.
     """
     from repro.alps.config import AlpsConfig
     from repro.kernel.kconfig import KernelConfig
@@ -747,9 +746,7 @@ def cmd_perf_report(
         share_list,
         AlpsConfig(quantum_us=ms(quantum_ms)),
         seed=seed,
-        kernel_config=KernelConfig(
-            strict=(backend == "strict"), backend=backend
-        ),
+        kernel_config=KernelConfig(backend=backend),
         counters=counters,
     )
     if profile:
@@ -763,7 +760,7 @@ def cmd_perf_report(
 
 
 #: Backend order of the ``perf report --backend all`` comparison table.
-_REPORT_BACKENDS = ("strict", "optimized", "batch", "resident")
+_REPORT_BACKENDS = ("strict", "resident")
 
 
 def _perf_report_all_backends(
@@ -775,18 +772,16 @@ def _perf_report_all_backends(
     profile: bool,
 ) -> int:
     """Run the workload once per kernel backend; print events/sec
-    side-by-side plus which fastloop implementation is active."""
+    side-by-side."""
     import time
 
     from repro.alps.config import AlpsConfig
     from repro.kernel.kconfig import KernelConfig
-    from repro.sim.fastloop import ACTIVE_IMPL
     from repro.units import ms, sec
     from repro.workloads.scenarios import build_controlled_workload
 
     if profile:
         print("[--profile applies to single-backend runs; ignoring]")
-    print(f"fastloop impl: {ACTIVE_IMPL}")
     print(f"{'backend':<10} {'events':>8} {'wall_s':>8} {'events/sec':>12}")
     rows = []
     for backend in _REPORT_BACKENDS:
@@ -794,9 +789,7 @@ def _perf_report_all_backends(
             share_list,
             AlpsConfig(quantum_us=ms(quantum_ms)),
             seed=seed,
-            kernel_config=KernelConfig(
-                strict=(backend == "strict"), backend=backend
-            ),
+            kernel_config=KernelConfig(backend=backend),
         )
         t0 = time.perf_counter()
         cw.engine.run_until(sec(seconds))
@@ -824,12 +817,8 @@ def cmd_perf_diff(
     seeds: str,
     quantum_ms: float,
     seconds: float,
-    backend: str = "optimized",
 ) -> int:
-    """Run the strict-vs-challenger differential sweep and report results.
-
-    ``backend`` selects the challenger compared against the strict
-    reference: ``optimized`` (default), ``batch``, or ``resident``.
+    """Run the strict-vs-resident differential sweep and report results.
 
     On any mismatch the exit status is non-zero and a one-line summary
     goes to *stderr* naming the first mismatching cell — challenger
@@ -852,7 +841,6 @@ def cmd_perf_diff(
         seeds=seed_list,
         quantum_us=ms(quantum_ms),
         horizon_us=sec(seconds),
-        backend=backend,
     )
     mismatches = 0
     first_bad = None
@@ -870,7 +858,7 @@ def cmd_perf_diff(
         print(line)
     print(
         f"\n{len(results)} cells, {mismatches} mismatches"
-        + ("" if mismatches else f" — strict and {backend} paths agree")
+        + ("" if mismatches else " — strict and resident backends agree")
     )
     if first_bad is not None:
         where = (
@@ -879,7 +867,7 @@ def cmd_perf_diff(
             else "scalar fields (event count / final clock)"
         )
         print(
-            f"perf diff: first mismatch: backend={backend} "
+            "perf diff: first mismatch: backend=resident "
             f"model={first_bad.model.value} n={first_bad.n} "
             f"seed={first_bad.seed}; first divergence: {where}",
             file=sys.stderr,

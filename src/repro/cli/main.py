@@ -169,27 +169,21 @@ def build_parser() -> argparse.ArgumentParser:
     )
     perf_report.add_argument(
         "--backend",
-        choices=["auto", "strict", "optimized", "batch", "resident", "all"],
+        choices=["auto", "strict", "resident", "all"],
         default="auto",
         help=(
             "kernel backend to run the workload on (default: auto); "
-            "'all' runs every backend and prints events/sec side-by-side"
+            "'all' runs both backends and prints events/sec side-by-side"
         ),
     )
     perf_diff = perf_sub.add_parser(
         "diff",
-        help="strict-vs-challenger differential equivalence sweep (Table 2)",
+        help="strict-vs-resident differential equivalence sweep (Table 2)",
     )
     perf_diff.add_argument("--sizes", default="5,10,20")
     perf_diff.add_argument("--seeds", default="0,1,2")
     perf_diff.add_argument("--quantum-ms", type=float, default=10.0)
     perf_diff.add_argument("--seconds", type=float, default=5.0)
-    perf_diff.add_argument(
-        "--backend",
-        choices=["optimized", "batch", "resident"],
-        default="optimized",
-        help="challenger backend compared against strict (default: optimized)",
-    )
 
     top = sub.add_parser(
         "top", help="live share-vs-attained view of a simulated workload"
@@ -405,7 +399,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 seeds=args.seeds,
                 quantum_ms=args.quantum_ms,
                 seconds=args.seconds,
-                backend=args.backend,
             )
         parser.parse_args(["perf", "--help"])
         return 2

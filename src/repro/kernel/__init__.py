@@ -18,46 +18,41 @@ express their work as :class:`~repro.kernel.behaviors.Behavior` objects
 that emit :mod:`~repro.kernel.actions`.
 """
 
+from typing import Optional
+
 from repro.kernel.actions import Compute, Exit, Sleep, SleepOn
 from repro.kernel.behaviors import Behavior, GeneratorBehavior, behavior
 from repro.kernel.cfs import CfsKernel
 from repro.kernel.kapi import KernelAPI
-from repro.kernel.kconfig import KERNEL_BACKENDS, KernelConfig
+from repro.kernel.kconfig import (
+    DEFAULT_CONFIG,
+    KERNEL_BACKENDS,
+    RESIDENT_MIN_PROCS,
+    KernelConfig,
+)
 from repro.kernel.kernel import Kernel
 from repro.kernel.process import Process, ProcState
 from repro.kernel.signals import SIGCONT, SIGKILL, SIGSTOP
 
 
-def make_kernel(engine, config: KernelConfig = None) -> Kernel:
+def make_kernel(
+    engine, config: Optional[KernelConfig] = None, nprocs: Optional[int] = None
+) -> Kernel:
     """Build the kernel implementation selected by ``config.backend``.
 
-    ``"strict"`` and ``"optimized"`` both map to :class:`Kernel` (with
-    the matching eager/lazy bookkeeping); ``"batch"`` maps to the
-    struct-of-arrays :class:`repro.kernel.batch.BatchKernel`;
-    ``"resident"`` maps to :class:`repro.kernel.resident.ResidentKernel`
-    (arrays as the authoritative state, PCBs as views).  The batch and
-    resident modules are imported lazily so workloads that never select
-    them do not pay the numpy import.
+    ``"strict"`` maps to :class:`Kernel` and ``"resident"`` to
+    :class:`repro.kernel.resident.ResidentKernel`; ``"auto"`` chooses
+    from ``nprocs``, the number of processes the caller will spawn (see
+    :meth:`KernelConfig.resolve_backend`).  The resident module is
+    imported lazily so workloads that never select it do not pay the
+    numpy import.
     """
-    from dataclasses import replace
-
-    from repro.kernel.kconfig import DEFAULT_CONFIG
-
     if config is None:
         config = DEFAULT_CONFIG
-    backend = config.resolve_backend()
-    if backend == "batch":
-        from repro.kernel.batch import BatchKernel
-
-        return BatchKernel(engine, config)
-    if backend == "resident":
+    if config.resolve_backend(nprocs) == "resident":
         from repro.kernel.resident import ResidentKernel
 
         return ResidentKernel(engine, config)
-    if backend == "strict" and not config.strict:
-        config = replace(config, strict=True)
-    elif backend == "optimized" and config.strict:
-        config = replace(config, strict=False)
     return Kernel(engine, config)
 
 
@@ -73,6 +68,7 @@ __all__ = [
     "KernelConfig",
     "Process",
     "ProcState",
+    "RESIDENT_MIN_PROCS",
     "SIGCONT",
     "SIGKILL",
     "SIGSTOP",

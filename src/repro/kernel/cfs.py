@@ -109,9 +109,6 @@ class CfsKernel(Kernel):
         self.runq = CfsRunQueue()
         #: Monotone floor for wakeup placement.
         self._min_vruntime = 0.0
-        # CFS does its own eager slptime aging (_on_slptime_tick); the
-        # base kernel's lazy-decay fast path must stay off.
-        self._lazy = False
 
     # ------------------------------------------------------------------
     # Policy: charging

@@ -9,11 +9,18 @@ formula ``p_usrpri = PUSER + p_estcpu / 4 + 2 * p_nice``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Optional
 
 from repro.units import MSEC, SEC
 
-#: Valid values of :attr:`KernelConfig.backend` besides ``"auto"``.
-KERNEL_BACKENDS = frozenset({"strict", "optimized", "batch", "resident"})
+#: Valid values of :attr:`KernelConfig.backend`.
+KERNEL_BACKENDS = frozenset({"auto", "strict", "resident"})
+
+#: Process count at and above which ``backend="auto"`` picks the
+#: resident kernel.  Below it the strict kernel is faster: the array
+#: passes only amortize over many processes.  Set from the strict vs
+#: resident crossover of the substrate cells (docs/performance.md).
+RESIDENT_MIN_PROCS = 200
 
 
 @dataclass(slots=True, frozen=True)
@@ -60,39 +67,37 @@ class KernelConfig:
     nice_weight: int = 2
     loadavg_interval_us: int = 5 * SEC
     loadavg_tau_us: int = 60 * SEC
-    #: Disable the schedule-invisible fast paths (lazy estcpu decay for
-    #: sleepers, idle housekeeping skip) and run the original eager
-    #: per-second loop instead.  The differential test harness runs both
-    #: paths and asserts byte-identical schedules; production runs leave
-    #: this False.
-    strict: bool = False
-    #: Scheduler backend: ``"auto"`` resolves to ``"strict"`` or
-    #: ``"optimized"`` from :attr:`strict`; ``"batch"`` selects the
-    #: struct-of-arrays :class:`~repro.kernel.batch.BatchKernel`
-    #: (vectorized decay, batched priority recomputation, fused
-    #: same-instant event stepping); ``"resident"`` selects
-    #: :class:`~repro.kernel.resident.ResidentKernel`, where the arrays
-    #: are the *authoritative* state and PCBs are thin views onto their
-    #: row (no per-pass gather/scatter).  Every backend must produce
-    #: byte-identical schedules — tests/perf/test_backend_matrix.py is
-    #: the contract.
+    #: Scheduler backend: ``"strict"`` is the eager reference
+    #: :class:`~repro.kernel.kernel.Kernel`; ``"resident"`` selects
+    #: :class:`~repro.kernel.resident.ResidentKernel`, where numpy-viewable
+    #: arrays are the authoritative per-process state and PCBs are views
+    #: onto their row; ``"auto"`` picks between them from the process
+    #: count (:meth:`resolve_backend`).  Both produce byte-identical
+    #: schedules — tests/perf/test_backend_matrix.py is the contract.
     backend: str = "auto"
 
-    def resolve_backend(self) -> str:
-        """The concrete backend name this config selects.
-
-        ``"auto"`` defers to the legacy :attr:`strict` flag so existing
-        call sites keep their exact behavior; any explicit name wins
-        over ``strict``.
-        """
-        if self.backend == "auto":
-            return "strict" if self.strict else "optimized"
+    def __post_init__(self) -> None:
+        if self.ncpus < 1:
+            raise ValueError(f"ncpus must be >= 1, got {self.ncpus}")
         if self.backend not in KERNEL_BACKENDS:
             raise ValueError(
                 f"unknown kernel backend {self.backend!r}; "
                 f"expected one of {sorted(KERNEL_BACKENDS)}"
             )
-        return self.backend
+
+    def resolve_backend(self, nprocs: Optional[int] = None) -> str:
+        """The concrete backend (``"strict"`` or ``"resident"``) to build.
+
+        ``"auto"`` picks resident when ``nprocs`` — the number of
+        processes the caller is about to spawn — reaches
+        :data:`RESIDENT_MIN_PROCS`, and strict otherwise, including when
+        the count is unknown.
+        """
+        if self.backend != "auto":
+            return self.backend
+        if nprocs is not None and nprocs >= RESIDENT_MIN_PROCS:
+            return "resident"
+        return "strict"
 
     @property
     def estcpu_limit(self) -> float:

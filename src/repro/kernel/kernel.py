@@ -101,16 +101,6 @@ class Kernel:
         #: every instrumentation point at one attribute read, the same
         #: off-path discipline as the engine's tracer short-circuit.
         self._obs = None
-        # -- fast-path state (see docs/performance.md) -----------------
-        #: Lazy estcpu decay for sleepers (4.4BSD ``updatepri`` style).
-        #: ``config.strict`` re-enables the original eager per-second
-        #: loop; subclasses with their own aging (CFS) opt out too.
-        self._lazy = not config.strict
-        #: Number of completed ``schedcpu`` passes.
-        self._schedcpu_epoch = 0
-        #: Load average used at each pass (``[k-1]`` = load at pass k),
-        #: so deferred first-pass decay replays the exact eager inputs.
-        self._load_history: list[float] = []
         #: Count of occupied CPUs (O(1) ``runnable_count``).
         self._oncpu = 0
         # Hoisted config scalars for the inlined charge/priority math.
@@ -129,8 +119,6 @@ class Kernel:
         self._equeue_schedule = engine.queue.schedule
         # Perf counters (cheap ints; snapshotted by repro.perf).
         self.perf_schedcpu_passes = 0
-        self.perf_schedcpu_idle_skips = 0
-        self.perf_lazy_materializations = 0
         self._start_housekeeping()
 
     # ------------------------------------------------------------------
@@ -163,14 +151,13 @@ class Kernel:
         ``start_delay`` µs."""
         pid = self._next_pid
         self._next_pid += 1
-        proc = self._make_process(pid, name, uid, nice, behavior)
+        proc = Process(pid=pid, name=name, uid=uid, nice=nice, behavior=behavior)
         proc.priority = user_priority(self.cfg, 0.0, nice)
         proc.state = ProcState.SLEEPING  # embryonic until started
         proc.wait_channel = "fork"
         proc.tag_burst = f"burst:{name}"
         proc.tag_wake = f"wake:{name}"
         self.procs[pid] = proc
-        self._park(proc)
         self.engine.after(
             start_delay,
             self._on_start,
@@ -179,17 +166,6 @@ class Kernel:
             tag=f"start:{name}",
         )
         return proc
-
-    def _make_process(
-        self, pid: int, name: str, uid: int, nice: int, behavior: Behavior
-    ) -> Process:
-        """PCB construction hook for :meth:`spawn`.
-
-        The resident backend overrides this to allocate a row in its
-        authoritative array store and return a view-PCB bound to it;
-        every other backend gets a plain :class:`Process`.
-        """
-        return Process(pid=pid, name=name, uid=uid, nice=nice, behavior=behavior)
 
     def lookup(self, pid: int) -> Process:
         """Return the live process with ``pid`` (raises if absent/zombie)."""
@@ -348,27 +324,6 @@ class Kernel:
         """Instantaneous count of runnable + running processes."""
         return len(self.runq) + self._oncpu
 
-    def slptime_of(self, pid: int) -> int:
-        """Seconds ``pid`` has spent sleeping/stopped, materialising any
-        lazily-deferred accrual first (the value the eager path would
-        hold right now)."""
-        proc = self.procs.get(pid)
-        if proc is None:
-            raise NoSuchProcessError(pid)
-        self._materialize_slptime(proc)
-        return proc.slptime
-
-    def flush_lazy_decay(self) -> None:
-        """Materialise deferred slptime/decay for every parked process.
-
-        Idempotent and schedule-invisible: after this call the full
-        per-process scheduler state (estcpu, slptime, priority) matches
-        what the strict/eager path would hold at this instant.  Used by
-        the equivalence tests and state-dump tooling.
-        """
-        for proc in self.procs.values():
-            self._materialize_slptime(proc)
-
     def attach_observer(self, observer) -> None:
         """Attach a :class:`repro.obs.Observer` to kernel + syscall layer.
 
@@ -383,51 +338,8 @@ class Kernel:
         """Cheap scheduler-internal perf counters (see repro.perf)."""
         return {
             "kernel.schedcpu_passes": self.perf_schedcpu_passes,
-            "kernel.schedcpu_idle_skips": self.perf_schedcpu_idle_skips,
-            "kernel.lazy_materializations": self.perf_lazy_materializations,
             "kernel.context_switches": self.context_switches,
         }
-
-    # ------------------------------------------------------------------
-    # Lazy slptime/decay bookkeeping (fast path)
-    # ------------------------------------------------------------------
-    # A process that is sleeping or stopped ("parked") cannot influence
-    # scheduling until it next becomes runnable, so the eager per-second
-    # work on it — slptime aging plus the single first-pass decay that
-    # 4.4BSD's schedcpu applies before updatepri takes over — is
-    # deferred and replayed, with the recorded pass-time load, the
-    # moment the process re-enters the scheduled world.
-    def _park(self, proc: Process) -> None:
-        if self._lazy and proc.park_epoch is None:
-            proc.park_epoch = self._schedcpu_epoch
-
-    def _materialize_slptime(self, proc: Process) -> None:
-        epoch = proc.park_epoch
-        if epoch is None:
-            return
-        elapsed = self._schedcpu_epoch - epoch
-        if elapsed <= 0:
-            return
-        if proc.slptime == 0:
-            # Replay the one eager decay applied at the first pass after
-            # parking (pass epoch+1, whose load is _load_history[epoch]).
-            new_est = decay_estcpu(
-                self.cfg, proc.estcpu, proc.nice, self._load_history[epoch]
-            )
-            if new_est != proc.estcpu:
-                proc.estcpu = new_est
-                new_pri = user_priority(self.cfg, new_est, proc.nice)
-                if proc.boost_priority is not None:
-                    new_pri = min(new_pri, proc.boost_priority)
-                proc.priority = new_pri  # parked, never on the run queue
-        proc.slptime += elapsed
-        proc.park_epoch = self._schedcpu_epoch
-        self.perf_lazy_materializations += 1
-
-    def _unpark(self, proc: Process) -> None:
-        if proc.park_epoch is not None:
-            self._materialize_slptime(proc)
-            proc.park_epoch = None
 
     # ------------------------------------------------------------------
     # Process start / trampoline
@@ -508,7 +420,7 @@ class Kernel:
         scalars hoisted at construction — this runs on every burst
         completion, preemption, and schedclock tick, and the expressions
         must stay operation-for-operation identical to the module
-        functions (the strict path and the property tests compare them).
+        functions (the property tests compare them).
         """
         now = self._clock._now
         consumed = now - proc.run_start
@@ -602,7 +514,6 @@ class Kernel:
         proc.state = ProcState.RUNNABLE
         if proc.stopped:
             return  # parked until SIGCONT
-        self._unpark(proc)
         if proc.slptime >= 1:
             proc.estcpu = wakeup_decay(
                 self.cfg, proc.estcpu, proc.nice, self.loadavg.value, proc.slptime
@@ -732,7 +643,6 @@ class Kernel:
             return
         proc.state = ProcState.SLEEPING
         proc.wait_channel = channel
-        self._park(proc)
         waiters = self._channels.get(channel)
         if waiters is None:
             self._channels[channel] = [proc]
@@ -791,7 +701,6 @@ class Kernel:
             self.runq.remove(proc)
             self._on_runq.discard(proc.pid)
         # SLEEPING: stays asleep; slptime keeps accruing while stopped.
-        self._park(proc)
 
     def _do_cont(self, proc: Process) -> None:
         if not proc.stopped:
@@ -824,7 +733,6 @@ class Kernel:
             if waiters and proc in waiters:
                 waiters.remove(proc)
             proc.wait_channel = None
-        self._unpark(proc)  # zombie keeps the eager-path slptime/estcpu
         proc.state = ProcState.ZOMBIE
         proc.exit_status = status
         self.exit_count += 1
@@ -904,40 +812,27 @@ class Kernel:
     def _on_schedcpu(self, event) -> None:
         self._charge_current()
         load = self.loadavg.value
-        lazy = self._lazy
         self.perf_schedcpu_passes += 1
-        if lazy:
-            self._schedcpu_epoch += 1
-            self._load_history.append(load)
-        if lazy and self._oncpu == 0 and not self.runq:
-            # Every non-zombie process is parked (sleeping/stopped), so
-            # the pass would only age sleepers — deferred to wakeup.
-            self.perf_schedcpu_idle_skips += 1
-        else:
-            for proc in self.procs.values():
-                if proc.state is ProcState.ZOMBIE:
-                    continue
-                if proc.state is ProcState.SLEEPING or proc.stopped:
-                    if lazy:
-                        # Deferred: slptime aging and the single
-                        # first-pass decay replay at _materialize_slptime.
-                        continue
-                    proc.slptime += 1
-                    if proc.slptime > 1:
-                        continue  # updatepri handles long sleepers on wakeup
-                new_est = decay_estcpu(self.cfg, proc.estcpu, proc.nice, load)
-                if new_est != proc.estcpu:
-                    proc.estcpu = new_est
-                    new_pri = user_priority(self.cfg, proc.estcpu, proc.nice)
-                    if proc.boost_priority is not None:
-                        new_pri = min(new_pri, proc.boost_priority)
-                    if new_pri != proc.priority:
-                        if proc.pid in self._on_runq:
-                            self.runq.remove(proc)
-                            proc.priority = new_pri
-                            self.runq.insert(proc)
-                        else:
-                            proc.priority = new_pri
+        for proc in self.procs.values():
+            if proc.state is ProcState.ZOMBIE:
+                continue
+            if proc.state is ProcState.SLEEPING or proc.stopped:
+                proc.slptime += 1
+                if proc.slptime > 1:
+                    continue  # updatepri handles long sleepers on wakeup
+            new_est = decay_estcpu(self.cfg, proc.estcpu, proc.nice, load)
+            if new_est != proc.estcpu:
+                proc.estcpu = new_est
+                new_pri = user_priority(self.cfg, proc.estcpu, proc.nice)
+                if proc.boost_priority is not None:
+                    new_pri = min(new_pri, proc.boost_priority)
+                if new_pri != proc.priority:
+                    if proc.pid in self._on_runq:
+                        self.runq.remove(proc)
+                        proc.priority = new_pri
+                        self.runq.insert(proc)
+                    else:
+                        proc.priority = new_pri
         self._request_resched()
         self.engine.after(
             self.cfg.schedcpu_us,

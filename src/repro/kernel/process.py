@@ -53,14 +53,8 @@ class Process:
     #: Kernel wakeup-priority boost; set when waking from a voluntary
     #: sleep, consumed at first dispatch (4.4BSD tsleep priority).
     boost_priority: Optional[int] = None
-    #: Seconds spent sleeping/stopped (drives wakeup decay).  Under the
-    #: lazy-decay fast path this is materialised on demand from
-    #: :attr:`park_epoch`; read it through ``Kernel.slptime_of``.
+    #: Seconds spent sleeping/stopped (drives wakeup decay).
     slptime: int = 0
-    #: ``schedcpu`` epoch at which this process entered the
-    #: sleeping-or-stopped set (lazy-decay bookkeeping; None while the
-    #: process is directly scheduled or the kernel runs strict/eager).
-    park_epoch: Optional[int] = None
     #: Virtual runtime (used by the CFS-like policy only).
     vruntime: float = 0.0
 

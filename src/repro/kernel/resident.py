@@ -1,17 +1,15 @@
 """Resident-array kernel backend: arrays as the authoritative state.
 
 :class:`ResidentKernel` is the ``backend="resident"`` implementation
-selected through :func:`repro.kernel.make_kernel`.  It inverts the
-batch backend's state ownership: where :class:`~repro.kernel.batch.
-BatchKernel` gathers PCB fields into struct-of-arrays form for each
-vectorized pass and scatters results back, the resident backend keeps
-the arrays (:class:`ResidentStore`) as the *single source of truth*
-for per-process scheduler state.  :class:`ResidentProcess` PCBs are
-thin views — properties reading and writing their row — so:
+selected through :func:`repro.kernel.make_kernel`, and the one
+``backend="auto"`` picks for workloads of at least
+``RESIDENT_MIN_PROCS`` processes.  It keeps the arrays
+(:class:`ResidentStore`) as the *single source of truth* for
+per-process scheduler state.  :class:`ResidentProcess` PCBs are thin
+views — properties reading and writing their row — so:
 
-* the per-``schedcpu`` gather/scatter round trip (~0.5 µs/row, the
-  floor the batch backend hit at paper scale) disappears entirely:
-  the decay pass masks, decays, and writes back *in place*;
+* the per-``schedcpu`` decay pass masks, decays, and writes back *in
+  place* over the whole process table, with no per-process Python work;
 * :meth:`ResidentKernel.measure_many` answers the agent's whole
   per-quantum read set with fancy-indexed array reads instead of a
   per-pid Python loop;
@@ -25,30 +23,27 @@ process at a time, and indexing a *numpy* array scalar-wise costs
 ~200 ns — 5× a ``__slots__`` read, enough to hand back everything the
 in-place decay pass wins.  So each column is a :class:`array.array`
 buffer: Python-level indexing returns native scalars in ~50 ns, while
-the batch passes wrap the same memory in zero-copy numpy views
+the vectorized passes wrap the same memory in zero-copy numpy views
 (:meth:`ResidentStore.np_view` via ``np.frombuffer``) — mutations on
 either side are immediately visible on the other, because there is
 only one buffer.
 
 Everything else — dispatch, sleep/wakeup, signals, the event loop —
-is the inherited scalar machinery running *through* the view
+is the inherited scalar machinery of the strict
+:class:`~repro.kernel.kernel.Kernel` running *through* the view
 properties, which is exactly what pins byte-identity: every scalar
 path performs the same IEEE-754 float64 operations on the same values
 in the same order, merely loading and storing them in shared buffers
 instead of ``__slots__``.  The backend matrix
-(tests/perf/test_backend_matrix.py) holds resident to the same
-byte-identical contract as optimized and batch, bare and stacked,
-with no golden refresh; view/array coherence itself is pinned by
-Hypothesis in tests/kernel/test_resident_view.py.
+(tests/perf/test_backend_matrix.py) holds resident byte-identical to
+strict, bare and stacked, with no golden refresh; view/array coherence
+itself is pinned by Hypothesis in tests/kernel/test_resident_view.py.
 
-Like the batch backend, resident runs **eager** (strict-equivalent)
-bookkeeping and fused same-instant event stepping.  ``array.array``
-reads return plain Python ``int``/``float`` and the vectorized passes
-convert results with ``.tolist()``, so numpy scalar types never leak
-into traces, cycle logs, or arithmetic.
+``array.array`` reads return plain Python ``int``/``float`` and the
+vectorized passes convert results with ``.tolist()``, so numpy scalar
+types never leak into traces, cycle logs, or arithmetic.
 
-See docs/performance.md ("The resident backend") for measurements and
-the compiled-dispatch story (:mod:`repro.sim.fastloop`).
+See docs/performance.md ("The resident backend") for measurements.
 """
 
 from __future__ import annotations
@@ -58,29 +53,33 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.kernel.batch import (
-    _CODE_TO_STATE,
-    NO_VALUE,
-    STATE_CODES,
-    ArrayRunQueue,
-    BatchKernel,
-    BatchKernelAPI,
-    batched_decay,
-    batched_user_priority,
-)
 from repro.errors import KernelError, SimulationError
 from repro.kernel.actions import Action, Compute, Exit, Sleep, SleepOn
+from repro.kernel.kapi import KernelAPI
 from repro.kernel.kconfig import DEFAULT_CONFIG, KernelConfig
 from repro.kernel.kernel import (
     _EVPRI_BURST,
     _EVPRI_HOUSEKEEPING,
     _EVPRI_START,
     _MAX_IMMEDIATE_ACTIONS,
+    Kernel,
 )
-from repro.kernel.priorities import user_priority, wakeup_decay
+from repro.kernel.priorities import decay_factor, wakeup_decay
 from repro.kernel.runqueue import NQS, PPQ
 from repro.kernel.process import Process, ProcState
 from repro.sim.engine import Engine
+
+#: Numeric codes for :class:`ProcState` in the ``state`` column.
+STATE_CODES: dict[ProcState, int] = {
+    ProcState.RUNNABLE: 0,
+    ProcState.RUNNING: 1,
+    ProcState.SLEEPING: 2,
+    ProcState.ZOMBIE: 3,
+}
+_CODE_TO_STATE = {code: state for state, code in STATE_CODES.items()}
+
+#: Sentinel for "no boost" in the ``boost`` column.
+NO_VALUE = -1
 
 _ZOMBIE_CODE = STATE_CODES[ProcState.ZOMBIE]
 _RUNNING_CODE = STATE_CODES[ProcState.RUNNING]
@@ -89,10 +88,10 @@ _SLEEPING_CODE = STATE_CODES[ProcState.SLEEPING]
 _INITIAL_CAPACITY = 128
 
 #: Column name -> (array.array typecode, numpy view dtype).  ``q`` is
-#: a signed 64-bit int and ``d`` an IEEE-754 float64 — the exact
-#: dtypes the batch backend's SoA passes use, so the vectorized
-#: arithmetic is bit-identical.  Boolean columns are one byte and
-#: viewed as ``np.bool_`` (0/1 values only, written via int 0/1).
+#: a signed 64-bit int and ``d`` an IEEE-754 float64, so the vectorized
+#: arithmetic performs the scalar path's exact float64 operations.
+#: Boolean columns are one byte and viewed as ``np.bool_`` (0/1 values
+#: only, written via int 0/1).
 _COLUMNS: dict[str, tuple[str, type]] = {
     "pids": ("q", np.int64),
     "estcpu": ("d", np.float64),
@@ -108,6 +107,41 @@ _COLUMNS: dict[str, tuple[str, type]] = {
     "boost": ("q", np.int64),
     "on_runq": ("b", np.bool_),
 }
+
+
+def batched_decay(
+    estcpu: np.ndarray,
+    nice: np.ndarray,
+    load: float,
+    limit: float,
+) -> np.ndarray:
+    """One second of BSD decay over an estcpu vector.
+
+    Elementwise-identical to
+    :func:`repro.kernel.priorities.decay_estcpu`: ``f*e + nice`` as two
+    float64 ops (multiply then add, never fused), then the ``< 0 → 0``
+    and ``min(·, limit)`` clamps.  The property tests compare this
+    against the scalar function value-for-value with ``==``, not with a
+    tolerance.
+    """
+    factor = decay_factor(load)
+    new = factor * estcpu + nice
+    return np.minimum(np.where(new < 0.0, 0.0, new), limit)
+
+
+def batched_user_priority(
+    cfg: KernelConfig, estcpu: np.ndarray, nice: np.ndarray
+) -> np.ndarray:
+    """The BSD priority formula over vectors, clamped like the scalar.
+
+    Matches :func:`repro.kernel.priorities.user_priority` exactly:
+    ``puser + estcpu/weight + nice_weight*nice`` evaluated left to
+    right in float64, negative lanes clamped to 0, overlarge lanes to
+    ``maxpri``, the rest truncated toward zero as ``int()`` does.
+    """
+    pri = cfg.puser + estcpu / cfg.estcpu_weight + cfg.nice_weight * nice
+    truncated = pri.astype(np.int64)  # toward zero, like int()
+    return np.where(pri < 0, 0, np.where(pri > cfg.maxpri, cfg.maxpri, truncated))
 
 
 class ResidentStore:
@@ -244,7 +278,6 @@ class ResidentProcess(Process):
         self.uid = uid
         self.behavior = behavior
         self.ready_while_stopped = False
-        self.park_epoch = None
         self.vruntime = 0.0
         self.cpu_index = None
         self.preemptions = 0
@@ -254,6 +287,8 @@ class ResidentProcess(Process):
         self.tag_burst = ""
         self.tag_wake = ""
         self.exit_status = 0
+        self._qbucket = 0
+        self._qpos = -1  # not on the run queue yet
         return self
 
     # -- scheduler state (array-backed) ---------------------------------
@@ -350,32 +385,45 @@ class ResidentProcess(Process):
         store.has_channel[row] = 0 if value is None else 1
 
 
-class ResidentRunQueue(ArrayRunQueue):
-    """Bucketed run queue with O(1) removal via recorded positions.
+class ResidentRunQueue:
+    """Bitmap-selected run queue with O(1) removal via recorded positions.
 
-    :class:`~repro.kernel.batch.ArrayRunQueue` removes by scanning the
-    bucket for the process — O(bucket).  At paper scale that scan is
-    the decay pass's dominant cost: a requeue inside a 3 000-process
-    bucket walks ~3 000 identity checks.  Here every insert records the
-    process's bucket and index on the view PCB (``_qbucket``/``_qpos``
-    — positions are stable because buckets only append at the tail and
-    consume from the head), so removal tombstones the slot in place.
-    Pops and head peeks skip tombstones; per-bucket live counts decide
-    when a bucket is really empty.
+    Semantically identical to :class:`~repro.kernel.runqueue.RunQueue`
+    (32 FIFO buckets of 4 priority levels, lowest-occupied-bucket
+    pick), but each bucket is a flat list with a head offset, and a
+    single-word occupancy bitmap makes the pick branch-free:
+    ``(bits & -bits).bit_length() - 1`` is the best bucket.
+
+    Every insert records the process's bucket and index on the view PCB
+    (``_qbucket``/``_qpos`` — positions are stable because buckets only
+    append at the tail and consume from the head), so removal
+    tombstones the slot in place instead of scanning the bucket; at
+    scale that scan would dominate the decay pass's requeues.  Pops and
+    head peeks skip tombstones; per-bucket live counts decide when a
+    bucket is really empty.
 
     FIFO order within a bucket — the round-robin contract the
     byte-identity battery pins — is unchanged: a tombstone is just a
     skipped slot, and remove-plus-reinsert lands at the tail exactly as
-    the scanning queue's ``del`` + append does.
+    the linked-list queue's remove + append does.  Pick-order
+    equivalence with :class:`RunQueue` under arbitrary operation
+    scripts is pinned by Hypothesis (tests/kernel/test_batch_properties.py).
     """
 
-    __slots__ = ("_live",)
+    __slots__ = ("_buckets", "_heads", "_nonempty", "_count", "_live")
 
     def __init__(self) -> None:
-        super().__init__()
+        self._buckets: list[list[Optional[Process]]] = [[] for _ in range(NQS)]
+        self._heads: list[int] = [0] * NQS
+        self._nonempty = 0
+        self._count = 0
         self._live = [0] * NQS
 
+    def __len__(self) -> int:
+        return self._count
+
     def insert(self, proc: Process) -> None:
+        """Append ``proc`` to the tail of its priority bucket."""
         priority = proc.priority
         if priority < 0 or priority >= NQS * PPQ:
             raise KernelError(
@@ -390,33 +438,14 @@ class ResidentRunQueue(ArrayRunQueue):
         self._count += 1
         self._live[qi] += 1
 
-    def insert_head(self, proc: Process) -> None:
-        qi = self._qindex(proc.priority)
-        bucket = self._buckets[qi]
-        head = self._heads[qi]
-        if head > 0:
-            head -= 1
-            self._heads[qi] = head
-            bucket[head] = proc
-            proc._qpos = head
-        else:
-            bucket.insert(0, proc)
-            proc._qpos = 0
-            for other in bucket[1:]:
-                if other is not None:
-                    other._qpos += 1
-        proc._qbucket = qi
-        self._nonempty |= 1 << qi
-        self._count += 1
-        self._live[qi] += 1
-
     def remove(self, proc: Process) -> None:
+        """Tombstone ``proc``'s slot (wherever its priority has moved)."""
         qi = proc._qbucket
         bucket = self._buckets[qi]
         pos = proc._qpos
-        if pos >= len(bucket) or bucket[pos] is not proc:
+        if pos < 0 or pos >= len(bucket) or bucket[pos] is not proc:
             raise KernelError(f"pid {proc.pid} not on any run queue")
-        bucket[pos] = None  # type: ignore[call-overload]  # tombstone
+        bucket[pos] = None  # tombstone
         self._count -= 1
         live = self._live[qi] - 1
         self._live[qi] = live
@@ -426,6 +455,7 @@ class ResidentRunQueue(ArrayRunQueue):
             self._nonempty &= ~(1 << qi)
 
     def best_priority(self) -> Optional[int]:
+        """Priority of the head of the best non-empty bucket, or None."""
         bits = self._nonempty
         if not bits:
             return None
@@ -440,6 +470,7 @@ class ResidentRunQueue(ArrayRunQueue):
         return proc.priority
 
     def pop_best(self) -> Optional[Process]:
+        """Remove and return the head of the lowest non-empty bucket."""
         bits = self._nonempty
         if not bits:
             return None
@@ -450,7 +481,7 @@ class ResidentRunQueue(ArrayRunQueue):
         while proc is None:
             head += 1
             proc = bucket[head]
-        bucket[head] = None  # type: ignore[call-overload]  # drop the reference
+        bucket[head] = None  # drop the reference
         self._heads[qi] = head + 1
         self._count -= 1
         live = self._live[qi] - 1
@@ -490,17 +521,17 @@ class _RunqMembership(set):
             store.on_runq[row] = 0
 
 
-class ResidentKernelAPI(BatchKernelAPI):
-    """Batch API surface over the resident kernel.
+class ResidentKernelAPI(KernelAPI):
+    """Kernel API surface that additionally offers batched reads.
 
-    ``measure_many`` delegates to the kernel's vectorized
-    implementation — one fancy-indexed pass instead of a per-pid loop.
-    The delegation (vs. the batch facade's inlining) is deliberate:
-    the whole read set is one call per quantum either way, and the
-    vectorized body is not worth duplicating.  Fault wrappers still
-    hide this method, so a faulted agent walks the classic per-pid
-    loop with its original RNG draw order (pinned by
-    tests/kernel/test_resident_view.py).
+    The agent feature-tests ``measure_many`` with ``getattr``: only
+    this class (and deliberate test fakes) expose it.  It delegates to
+    the kernel's vectorized implementation — one fancy-indexed pass per
+    quantum instead of three kapi round-trips per pid.  Fault-injection
+    wrappers (:class:`repro.faults.injector.FaultyKernelAPI`) do *not*
+    forward it, so a faulted agent always walks the classic per-pid
+    loop and the injector sees every read in the original order
+    (pinned by tests/kernel/test_resident_view.py).
     """
 
     __slots__ = ()
@@ -508,10 +539,12 @@ class ResidentKernelAPI(BatchKernelAPI):
     def measure_many(
         self, pids: Sequence[int]
     ) -> list[tuple[int, Optional[int], bool, bool]]:
+        """Batched READ-PROGRESS: ``(pid, usage, blocked, stopped)`` rows
+        (see :meth:`ResidentKernel.measure_many`)."""
         return self._kernel.measure_many(pids)
 
 
-class ResidentKernel(BatchKernel):
+class ResidentKernel(Kernel):
     """Array-resident struct-of-arrays kernel (``backend="resident"``)."""
 
     def __init__(
@@ -526,11 +559,6 @@ class ResidentKernel(BatchKernel):
         # the mirroring set (empty at this point; no process exists yet).
         self._on_runq = _RunqMembership(self.store)
         self.kapi = ResidentKernelAPI(self)
-
-    def _make_process(self, pid, name, uid, nice, behavior) -> Process:
-        return ResidentProcess.attach(
-            self.store, pid=pid, name=name, uid=uid, nice=nice, behavior=behavior
-        )
 
     # ------------------------------------------------------------------
     # Row-direct scalar hot paths
@@ -577,8 +605,6 @@ class ResidentKernel(BatchKernel):
         proc.tag_burst = f"burst:{name}"
         proc.tag_wake = f"wake:{name}"
         self.procs[pid] = proc
-        # _park(proc) elided: the batch family runs eager bookkeeping
-        # (_lazy is False), so parking never records an epoch.
         # Inlined engine.after (validation included; the handle is not
         # retained, matching the base spawn).
         if start_delay < 0:
@@ -618,11 +644,6 @@ class ResidentKernel(BatchKernel):
         store.state[row] = 0  # STATE_CODES[RUNNABLE]
         if store.stopped[row]:
             return  # parked until SIGCONT
-        # Inlined _unpark: eager bookkeeping never sets park_epoch, so
-        # the slot check alone decides (and always fails).
-        if proc.park_epoch is not None:
-            self._materialize_slptime(proc)
-            proc.park_epoch = None
         estcpu = store.estcpu[row]
         nice = store.nice[row]
         slptime = store.slptime[row]
@@ -651,7 +672,7 @@ class ResidentKernel(BatchKernel):
         on_runq = self._on_runq
         pid = proc.pid
         if pid not in on_runq:
-            # Inlined ArrayRunQueue.insert + _RunqMembership.add: ``pri``
+            # Inlined ResidentRunQueue.insert + _RunqMembership.add: ``pri``
             # is already clamped to [0, maxpri] so the queue's range
             # check cannot fire, and ``row`` is already in hand so the
             # membership mirror needs no slot_of lookup.
@@ -971,18 +992,18 @@ class ResidentKernel(BatchKernel):
     ) -> list[tuple[int, Optional[int], bool, bool]]:
         """Fancy-indexed READ-PROGRESS over the resident arrays.
 
-        Behaviorally identical to the per-pid kapi calls and to the
-        batch backend's loop: same usage arithmetic including the
-        in-flight run interval, dead pids reported as ``usage=None``.
+        Behaviorally identical to the per-pid kapi calls
+        (``getrusage`` / ``is_blocked`` / ``is_stopped``): same usage
+        arithmetic including the in-flight run interval, dead pids
+        reported as ``usage=None`` (with blocked and stopped False)
+        instead of raising.  Row order follows ``pids``.
         ``.tolist()`` materialises plain Python ints/bools so numpy
         scalars never reach the agent's cycle log.
         """
         store = self.store
         count = len(pids)
         if count == 0 or store.n == 0:
-            rows_out = [(pid, None, False, False) for pid in pids]
-            self.perf_batch_rows += len(rows_out)
-            return rows_out
+            return [(pid, None, False, False) for pid in pids]
         slot_of = store.slot_of
         rows = np.fromiter(
             (slot_of.get(pid, -1) for pid in pids), dtype=np.int64, count=count
@@ -1009,7 +1030,6 @@ class ResidentKernel(BatchKernel):
                 append((pid, usage[i], blocked[i], stopped[i]))
             else:
                 append((pid, None, False, False))
-        self.perf_batch_rows += len(out)
         return out
 
     # ------------------------------------------------------------------
@@ -1018,18 +1038,17 @@ class ResidentKernel(BatchKernel):
     def _on_schedcpu(self, event) -> None:
         """Eager schedcpu over the resident arrays, fully in place.
 
-        Same semantics as the strict scalar loop and the batch gather
-        pass (:meth:`BatchKernel._on_schedcpu`), but the arrays *are*
+        Same semantics as the strict scalar loop
+        (:meth:`Kernel._on_schedcpu`), but over the arrays that *are*
         the state: sleeper aging is one masked increment, decay and
         priority recompute run over column views, and write-back is a
         masked ``np.copyto`` — zero per-row Python work except the
         (rare) run-queue requeues, performed in ascending row order,
-        which is table order, matching every other backend.
+        which is table order, matching the strict loop.
         """
         self._charge_current()
         load = self.loadavg.value
         self.perf_schedcpu_passes += 1
-        self.perf_batch_passes += 1
         store = self.store
         if store.n:
             state = store.np_view("state")
@@ -1065,7 +1084,7 @@ class ResidentKernel(BatchKernel):
                     np.copyto(pri, new_pri, where=pri_changed & ~on_runq)
                     # … queued rows are requeued one by one (remove at
                     # the old priority, reinsert at the new) in table
-                    # order, as the scalar and batch loops do.
+                    # order, as the scalar loop does.
                     if requeue.any():
                         runq = self.runq
                         views = store.views

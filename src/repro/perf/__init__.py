@@ -7,8 +7,8 @@ Three concerns, kept deliberately separate:
 * :mod:`repro.perf.profiler` — cProfile and wall-clock helpers for
   ad-hoc investigation of the hot path;
 * :mod:`repro.perf.differential` — the equivalence harness that runs
-  the same workload over the strict (eager) and optimized (lazy)
-  kernel paths and asserts byte-identical schedules;
+  the same workload over the strict and resident kernel backends and
+  asserts byte-identical schedules;
 * :mod:`repro.perf.report` — collection and rendering of a run's
   counter snapshot (the ``repro perf report`` CLI subcommand).
 

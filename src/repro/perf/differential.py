@@ -1,17 +1,17 @@
-"""Strict-vs-optimized differential equivalence harness.
+"""Strict-vs-resident differential equivalence harness.
 
-Every fast path added to the simulation substrate must be *schedule
-invisible*: for equal seeds, a workload must produce exactly the same
-schedule whether the kernel runs its original eager bookkeeping
-(``KernelConfig(strict=True)``) or the optimized lazy path (the
-default).  This module makes that claim executable:
+The array-resident kernel backend must be *schedule invisible*: for
+equal seeds, a workload must produce exactly the same schedule whether
+it runs on the strict reference kernel (``KernelConfig(backend=
+"strict")``) or on the resident one (``KernelConfig(backend=
+"resident")``).  This module makes that claim executable:
 
 * :func:`fingerprint_run` runs one Table 2 workload to a horizon with
   full event tracing on and serializes everything observable — the
   per-cycle consumption log, the event trace, the event count and the
   final clock — into one byte string;
 * :func:`differential_check` sweeps the Table 2 workload matrix times
-  a seed set and compares the strict and optimized fingerprints
+  a seed set and compares the strict and resident fingerprints
   byte-for-byte.
 
 A mismatch fails loudly with the first differing workload cell; the
@@ -99,8 +99,8 @@ def fingerprint_run(
     shares: Sequence[int],
     *,
     seed: int = 0,
-    strict: bool = False,
-    backend: Optional[str] = None,
+    backend: str = "auto",
+    ncpus: int = 1,
     quantum_us: int = ms(10),
     horizon_us: int = DEFAULT_HORIZON_US,
     resilience: bool = False,
@@ -111,12 +111,10 @@ def fingerprint_run(
 ) -> RunFingerprint:
     """Run one controlled workload and fingerprint its schedule.
 
-    ``strict=True`` selects the kernel's original eager bookkeeping;
-    ``strict=False`` the optimized lazy path.  ``backend`` names a
-    concrete kernel backend (``"strict"``/``"optimized"``/``"batch"``,
-    see :data:`repro.kernel.KERNEL_BACKENDS`) and overrides ``strict``
-    when given.  Everything else is held identical, so any fingerprint
-    difference is a fast-path bug.
+    ``backend`` is the :attr:`KernelConfig.backend` to run on
+    (``"auto"``, ``"strict"`` or ``"resident"``) and ``ncpus`` its CPU
+    count.  Everything else is held identical, so any fingerprint
+    difference between backends is a backend bug.
 
     ``resilience=True`` additionally attaches the crash-safety stack —
     a state journal and a supervision wrapper (no fault plan, so
@@ -143,7 +141,7 @@ def fingerprint_run(
     ``fault_plan`` runs the workload under deterministic fault
     injection.  Faulted runs are *not* expected to match clean runs;
     they must match each other across backends — the injector wraps the
-    kapi, hiding the batched-measurement surface, so every backend
+    kapi, hiding the batched-measurement surface, so both backends
     replays the identical per-call fault RNG draw sequence.  The
     injector's realized fault trace is appended to the fingerprint's
     trace bytes so a divergence in fault realization fails the
@@ -170,15 +168,11 @@ def fingerprint_run(
         from repro.sharetree import ShareTree
 
         tree = ShareTree.flat(shares)
-    if backend is None:
-        kernel_config = KernelConfig(strict=strict)
-    else:
-        kernel_config = KernelConfig(strict=strict, backend=backend)
     cw = build_controlled_workload(
         shares,
         AlpsConfig(quantum_us=quantum_us),
         seed=seed,
-        kernel_config=kernel_config,
+        kernel_config=KernelConfig(ncpus=ncpus, backend=backend),
         tracer=tracer,
         journal=journal,
         supervisor=supervisor,
@@ -203,19 +197,14 @@ def fingerprint_run(
 
 @dataclass(frozen=True)
 class CellComparison:
-    """Strict-vs-challenger outcome for one (model, n, seed) cell.
-
-    The challenger is ``optimized`` by default; ``compare_cell``'s
-    ``backend`` parameter swaps in any registered kernel backend (the
-    ``optimized_digest`` field name is kept for report compatibility).
-    """
+    """Strict-vs-resident outcome for one (model, n, seed) cell."""
 
     model: ShareDistribution
     n: int
     seed: int
     matches: bool
     strict_digest: str
-    optimized_digest: str
+    resident_digest: str
     #: Human-oriented description of the first observed difference.
     detail: str = ""
     #: Fingerprint section holding the first diverging byte
@@ -234,41 +223,31 @@ def compare_cell(
     *,
     quantum_us: int = ms(10),
     horizon_us: int = DEFAULT_HORIZON_US,
-    backend: str = "optimized",
 ) -> CellComparison:
-    """Fingerprint one workload cell under both paths and diff them.
-
-    ``backend`` names the challenger compared against strict —
-    ``optimized`` (the default fast path) or ``batch``.
-    """
+    """Fingerprint one workload cell on both backends and diff them."""
     shares = workload_shares(model, n)
-    strict = fingerprint_run(
-        shares,
-        seed=seed,
-        strict=True,
-        quantum_us=quantum_us,
-        horizon_us=horizon_us,
-    )
-    fast = fingerprint_run(
-        shares,
-        seed=seed,
-        strict=False,
-        backend=None if backend == "optimized" else backend,
-        quantum_us=quantum_us,
-        horizon_us=horizon_us,
+    strict, resident = (
+        fingerprint_run(
+            shares,
+            seed=seed,
+            backend=backend,
+            quantum_us=quantum_us,
+            horizon_us=horizon_us,
+        )
+        for backend in ("strict", "resident")
     )
     detail = ""
     section, offset = "", -1
-    if strict != fast:
-        detail = describe_difference(strict, fast, right=backend)
-        section, offset = first_divergent_byte(strict, fast)
+    if strict != resident:
+        detail = describe_difference(strict, resident)
+        section, offset = first_divergent_byte(strict, resident)
     return CellComparison(
         model=model,
         n=n,
         seed=seed,
-        matches=strict == fast,
+        matches=strict == resident,
         strict_digest=strict.digest(),
-        optimized_digest=fast.digest(),
+        resident_digest=resident.digest(),
         detail=detail,
         diverged_section=section,
         diverged_byte=offset,
@@ -282,7 +261,6 @@ def differential_check(
     seeds: Iterable[int] = (0, 1, 2),
     quantum_us: int = ms(10),
     horizon_us: int = DEFAULT_HORIZON_US,
-    backend: str = "optimized",
 ) -> list[CellComparison]:
     """Sweep the Table 2 matrix × seeds; return one comparison per cell."""
     return [
@@ -292,7 +270,6 @@ def differential_check(
             seed,
             quantum_us=quantum_us,
             horizon_us=horizon_us,
-            backend=backend,
         )
         for model in models
         for n in sizes
@@ -305,12 +282,12 @@ def describe_difference(
     b: RunFingerprint,
     *,
     left: str = "strict",
-    right: str = "optimized",
+    right: str = "resident",
 ) -> str:
     """Locate the first diverging line between two fingerprints.
 
     ``left``/``right`` label the two runs in the message (backend
-    names in the backend-matrix tests, strict/optimized here).
+    names by default; stack names in the layer-invisibility tests).
     """
     if a.events != b.events:
         return f"event counts differ: {left}={a.events} {right}={b.events}"

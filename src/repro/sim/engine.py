@@ -7,7 +7,6 @@ from typing import TYPE_CHECKING, Any, Callable, Optional
 from repro.errors import SimulationError
 from repro.sim.clock import Clock
 from repro.sim.event_queue import Event, EventCallback, EventHandle, EventQueue
-from repro.sim.fastloop import pop_ready as _pop_ready, run_fused as _run_fused
 from repro.sim.rng import RngStreams
 from repro.sim.trace import Tracer
 
@@ -62,11 +61,6 @@ class Engine:
         self.counters = counters
         self._events_processed = 0
         self._stop_requested = False
-        #: Fused same-instant stepping (enabled by the batch kernel
-        #: backend): drain all events sharing a timestamp in one heap
-        #: pass.  Off by default — the classic per-pop loop is the
-        #: reference semantics.
-        self._fused = False
 
     # ------------------------------------------------------------------
     # Scheduling API
@@ -125,21 +119,6 @@ class Engine:
         """Request the run loop to stop after the current event."""
         self._stop_requested = True
 
-    def enable_fused_stepping(self) -> None:
-        """Switch :meth:`run_until` to fused same-instant stepping.
-
-        All events sharing the earliest pending timestamp are drained in
-        one heap pass and dispatched from a flat list, with one clock
-        write per instant instead of one per event.  An order guard
-        compares the heap head's ``(time, priority, seq)`` key against
-        the next batch entry before every dispatch and falls back to the
-        heap when a callback schedules or cancels same-instant work, so
-        dispatch order — and therefore every golden trace — is identical
-        to the classic loop (pinned by tests/sim/test_event_ordering.py
-        and the backend matrix).
-        """
-        self._fused = True
-
     # ------------------------------------------------------------------
     # Run loop
     # ------------------------------------------------------------------
@@ -150,20 +129,17 @@ class Engine:
         left at ``until`` even if the queue drained earlier, so callers can
         take end-of-run measurements at a well-defined instant.
         """
-        if self._fused and max_events is None:
-            return self._run_until_fused(until)
         timer = _start_timer(self.counters)
         processed = 0
         self._stop_requested = False
         clock = self.clock
         tracer = self.tracer
-        queue = self.queue
-        pop_ready = _pop_ready  # resolved fastloop impl (compiled or not)
+        pop_ready = self.queue.pop_ready
         # Two loop bodies so the common unbounded run pays no per-event
         # max_events check.
         if max_events is None:
             while not self._stop_requested:
-                event = pop_ready(queue, until)
+                event = pop_ready(until)
                 if event is None:
                     break
                 # Direct assignment: pops are time-ordered and events
@@ -175,7 +151,7 @@ class Engine:
                 processed += 1
         else:
             while not self._stop_requested and processed < max_events:
-                event = pop_ready(queue, until)
+                event = pop_ready(until)
                 if event is None:
                     break
                 clock._now = event.time
@@ -184,30 +160,6 @@ class Engine:
                 event.callback(event)
                 processed += 1
         self._events_processed += processed
-        if not self._stop_requested and clock._now < until:
-            clock.advance_to(until)
-        _stop_timer(self.counters, timer, "engine.run_until", processed)
-        return processed
-
-    def _run_until_fused(self, until: int) -> int:
-        """Fused-stepping body of :meth:`run_until` (no ``max_events``).
-
-        The drain loop itself lives in :mod:`repro.sim.fastloop`
-        (:func:`~repro.sim._fastloop.run_fused`, optionally compiled);
-        this wrapper owns the timer bookkeeping, the
-        ``events_processed`` accumulation, and the final clock advance.
-        Dispatch order is identical to the classic loop: batch entries
-        carry their original ``(time, priority, seq)`` keys, each is
-        re-checked for cancellation at dispatch, and the guard pushes
-        the undispatched tail back to the heap the moment the heap head
-        would sort before it (a callback scheduled same-instant work
-        that must interleave).
-        """
-        timer = _start_timer(self.counters)
-        self._stop_requested = False
-        processed = _run_fused(self, until)
-        self._events_processed += processed
-        clock = self.clock
         if not self._stop_requested and clock._now < until:
             clock.advance_to(until)
         _stop_timer(self.counters, timer, "engine.run_until", processed)

@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from repro.errors import SimulationError
-from repro.sim import fastloop as _fastloop
 
 EventCallback = Callable[["Event"], None]
 
@@ -153,63 +152,20 @@ class EventQueue:
         Fuses ``peek_time`` + ``pop`` into one cancelled-prefix scan —
         the engine run loop's fast path.  Returns None when the queue is
         empty or the next event fires after ``until``.
-
-        The body lives in :mod:`repro.sim.fastloop` (optionally
-        compiled); the engine binds the module function directly, so
-        this method exists for API compatibility and direct callers.
         """
-        return _fastloop.pop_ready(self, until)
-
-    # ------------------------------------------------------------------
-    # Fused same-instant stepping (the batch backend's run loop)
-    # ------------------------------------------------------------------
-    # The engine's fused mode drains every pending event that shares the
-    # earliest timestamp in one heap pass, then dispatches them from a
-    # flat list.  The contract that keeps golden traces byte-identical:
-    # batch entries keep their full ``(time, priority, seq)`` keys, stay
-    # cancellable until the moment they are individually marked fired,
-    # and the engine compares the heap head's key against the next batch
-    # entry before every dispatch, pushing the remainder back whenever a
-    # callback scheduled something that must interleave.  Dispatch order
-    # is therefore *provably* the heap order — the fusion only removes
-    # sift work, never reorders.
-
-    def pop_time_batch(
-        self, until: int
-    ) -> Optional[list[tuple[int, int, int, Event]]]:
-        """Remove and return all pending entries at the earliest time.
-
-        Returns None when the queue is empty or the earliest pending
-        event fires after ``until``.  The returned entries are *not*
-        marked fired and still count as live: the caller dispatches them
-        one by one via :meth:`mark_fired` (so late cancellation keeps
-        working) and returns any undispatched tail with
-        :meth:`push_back`.
-
-        The body lives in :mod:`repro.sim.fastloop` (optionally
-        compiled); the fused engine loop calls the module function
-        directly.
-        """
-        return _fastloop.pop_time_batch(self, until)
-
-    def peek_key(self) -> Optional[tuple[int, int, int]]:
-        """``(time, priority, seq)`` of the next pending event, or None."""
         heap = self._heap
-        while heap and heap[0][3].cancelled:
-            heapq.heappop(heap)
-        if not heap:
-            return None
-        head = heap[0]
-        return (head[0], head[1], head[2])
-
-    def mark_fired(self, event: Event) -> None:
-        """Commit one batch-popped event as dispatched."""
-        event.fired = True
-        self._live -= 1
-
-    def push_back(self, entries: list[tuple[int, int, int, Event]]) -> None:
-        """Reinsert undispatched batch entries (original keys intact)."""
-        _fastloop.push_back(self, entries)
+        while heap:
+            head = heap[0]
+            if head[3].cancelled:
+                heapq.heappop(heap)
+                continue
+            if head[0] > until:
+                return None
+            event = heapq.heappop(heap)[3]
+            self._live -= 1
+            event.fired = True
+            return event
+        return None
 
     def clear(self) -> None:
         """Drop all pending events."""

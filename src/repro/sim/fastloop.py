@@ -1,91 +1,12 @@
-"""Loader for the optionally-compiled dispatch core (:mod:`repro.sim._fastloop`).
+"""Which implementation of the dispatch core is running.
 
-``repro.sim._fastloop`` holds the innermost run-loop code — the heap
-pops and the fused same-instant drain — written to be compilable with
-mypyc.  This module resolves which implementation actually serves the
-process:
-
-* **compiled** — a mypyc-built extension module shadows
-  ``_fastloop.py`` (built via ``REPRO_COMPILED=1 pip install -e .``;
-  setup.py gates the mypycify call on that variable);
-* **interpreted** — the plain-Python source, automatically selected
-  when no compiled artifact is present.  No compiler, no dependency,
-  no behavior change: both implementations execute the same statements
-  in the same order, so every golden trace and fingerprint is
-  byte-identical across them.
-
-:data:`ACTIVE_IMPL` reports which one loaded (``"compiled"`` or
-``"interpreted"``) — ``repro perf report`` prints it, and the
-``substrate-resident`` CI job asserts it differs between its
-pure-Python and compiled legs while the fingerprints stay identical.
-
-Environment overrides:
-
-* ``REPRO_FASTLOOP=interpreted`` forces the pure-Python source even
-  when a compiled extension is installed (the fallback leg of CI);
-* ``REPRO_FASTLOOP=compiled`` or ``REPRO_COMPILED=1`` makes import
-  *fail* if the compiled extension is absent — the arming guard for
-  environments that must not silently fall back.
+The engine's run loop (:meth:`repro.sim.engine.Engine.run_until`) and
+the heap pops it calls (:meth:`repro.sim.event_queue.EventQueue.pop_ready`)
+are plain interpreted Python; there is no compiled variant.
+:data:`ACTIVE_IMPL` names that implementation so benchmark results can
+record it alongside the interpreter and library versions.
 """
 
-from __future__ import annotations
+ACTIVE_IMPL = "interpreted"
 
-import importlib.util
-import os
-import sys
-from types import ModuleType
-
-_COMPILED_SUFFIXES = (".so", ".pyd")
-
-
-def _load_interpreted_source() -> ModuleType:
-    """Load ``_fastloop.py`` from source, bypassing any compiled shadow."""
-    path = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_fastloop.py")
-    spec = importlib.util.spec_from_file_location(
-        "repro.sim._fastloop_interpreted", path
-    )
-    if spec is None or spec.loader is None:  # pragma: no cover - defensive
-        raise ImportError(f"cannot load fastloop source from {path}")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
-
-
-def _resolve() -> tuple[ModuleType, str]:
-    forced = os.environ.get("REPRO_FASTLOOP", "")
-    require_compiled = forced == "compiled" or (
-        os.environ.get("REPRO_COMPILED") == "1" and forced != "interpreted"
-    )
-    if forced == "interpreted":
-        return _load_interpreted_source(), "interpreted"
-    from repro.sim import _fastloop as impl
-
-    compiled = getattr(impl, "__file__", "").endswith(_COMPILED_SUFFIXES)
-    if require_compiled and not compiled:
-        raise ImportError(
-            "REPRO_FASTLOOP=compiled/REPRO_COMPILED=1 is set but "
-            "repro.sim._fastloop is not a compiled extension; build it "
-            "with `REPRO_COMPILED=1 pip install -e .` (requires mypyc) "
-            "or unset the variable to use the pure-Python fallback"
-        )
-    return impl, ("compiled" if compiled else "interpreted")
-
-
-_impl, ACTIVE_IMPL = _resolve()
-
-#: The resolved hot-path functions (compiled or interpreted — same
-#: semantics either way).  The engine and event queue bind these at
-#: import, so the per-event path pays zero indirection.
-pop_ready = _impl.pop_ready
-pop_time_batch = _impl.pop_time_batch
-push_back = _impl.push_back
-run_fused = _impl.run_fused
-
-__all__ = [
-    "ACTIVE_IMPL",
-    "pop_ready",
-    "pop_time_batch",
-    "push_back",
-    "run_fused",
-]
+__all__ = ["ACTIVE_IMPL"]

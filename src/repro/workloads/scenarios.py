@@ -84,7 +84,7 @@ def build_controlled_workload(
     kernel_config: KernelConfig = DEFAULT_CONFIG,
     behaviors: Optional[Sequence[Behavior]] = None,
     alps_start_delay: int = 0,
-    kernel_factory: KernelFactory = make_kernel,
+    kernel_factory: Optional[KernelFactory] = None,
     fault_plan: Optional[FaultPlan] = None,
     tracer: Optional[Tracer] = None,
     counters: Optional["PerfCounters"] = None,
@@ -101,8 +101,8 @@ def build_controlled_workload(
     ``kernel_factory`` selects the kernel policy (e.g.
     :class:`~repro.kernel.cfs.CfsKernel` for the portability study) —
     the default dispatches on ``kernel_config.backend`` through
-    :func:`repro.kernel.make_kernel`, so ``backend="batch"`` selects
-    the struct-of-arrays batch kernel with no other changes.
+    :func:`repro.kernel.make_kernel`, passing ``len(shares)`` so that
+    ``backend="auto"`` picks the resident kernel for large groups.
     ``fault_plan`` runs the whole workload under deterministic fault
     injection (docs/fault_model.md); a null/omitted plan is the exact
     clean path.  ``tracer`` attaches an event tracer to the engine (the
@@ -128,7 +128,10 @@ def build_controlled_workload(
     invisible — the tree resolves to the raw shares verbatim.
     """
     engine = Engine(seed=seed, tracer=tracer, counters=counters, observer=observer)
-    kernel = kernel_factory(engine, kernel_config)
+    if kernel_factory is None:
+        kernel = make_kernel(engine, kernel_config, len(shares))
+    else:
+        kernel = kernel_factory(engine, kernel_config)
     if observer is not None:
         kernel.attach_observer(observer)
     workers: list[Process] = []

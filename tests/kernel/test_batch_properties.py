@@ -1,18 +1,19 @@
-"""Property tests for the struct-of-arrays batch kernel core.
+"""Property tests for the resident kernel's array core.
 
-Three equivalences, each pinned with exact (``==``) comparisons, never
-tolerances — the batch backend's byte-identity contract rests on the
-array arithmetic reproducing the scalar arithmetic bit for bit:
+Two equivalences, each pinned with exact (``==``) comparisons, never
+tolerances — the resident backend's byte-identity contract rests on the
+array machinery reproducing the scalar machinery exactly:
 
 * :func:`batched_decay` / :func:`batched_user_priority` over arbitrary
   estcpu/nice vectors equal the per-process scalar functions
   (:func:`decay_estcpu` / :func:`user_priority`) elementwise;
-* :class:`ArrayRunQueue` (bitmap pick over flat buckets) is
-  operation-for-operation indistinguishable from the linked-list
-  :class:`RunQueue` under arbitrary insert/pop/remove scripts,
-  including removes after a stale priority change;
-* :meth:`SoaState.gather` → :meth:`SoaState.scatter` round-trips every
-  scheduler-owned PCB field exactly.
+* :class:`ResidentRunQueue` (bitmap pick over flat buckets, tombstone
+  removal) is operation-for-operation indistinguishable from the
+  linked-list :class:`RunQueue` under arbitrary insert/pop/remove
+  scripts, including removes after a stale priority change.
+
+Plus the store's masks: the ``on_runq`` and ``state`` columns mirror
+the kernel's run-queue set and process states as a run proceeds.
 """
 
 from __future__ import annotations
@@ -21,15 +22,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.kernel.batch import (
-    ArrayRunQueue,
-    SoaState,
-    batched_decay,
-    batched_user_priority,
-)
 from repro.kernel.kconfig import DEFAULT_CONFIG
 from repro.kernel.priorities import decay_estcpu, user_priority
 from repro.kernel.process import Process, ProcState
+from repro.kernel.resident import (
+    STATE_CODES,
+    ResidentProcess,
+    ResidentRunQueue,
+    ResidentStore,
+    batched_decay,
+    batched_user_priority,
+)
 from repro.kernel.runqueue import NQS, PPQ, RunQueue
 
 CFG = DEFAULT_CONFIG
@@ -47,6 +50,15 @@ loads = st.floats(
 
 def _proc(pid: int, priority: int = 50) -> Process:
     proc = Process(pid=pid, name=f"p{pid}", uid=0, nice=0, behavior=None)
+    proc.priority = priority
+    return proc
+
+
+def _view(store: ResidentStore, pid: int, priority: int = 50) -> ResidentProcess:
+    """A view PCB (the run queue records its position on the view)."""
+    proc = ResidentProcess.attach(
+        store, pid=pid, name=f"p{pid}", uid=0, nice=0, behavior=None
+    )
     proc.priority = priority
     return proc
 
@@ -89,7 +101,7 @@ def test_batched_priority_equals_scalar_priority_exactly(rows):
 )
 @settings(max_examples=100, deadline=None)
 def test_decay_then_priority_composes_like_the_eager_loop(rows, load):
-    """The exact composition the batch schedcpu pass performs."""
+    """The exact composition the resident schedcpu pass performs."""
     est = np.array([e for e, _ in rows], dtype=np.float64)
     nice = np.array([n for _, n in rows], dtype=np.int64)
     new_est = batched_decay(est, nice, load, CFG.estcpu_limit)
@@ -101,11 +113,10 @@ def test_decay_then_priority_composes_like_the_eager_loop(rows, load):
 
 
 # ----------------------------------------------------------------------
-# ArrayRunQueue ≡ RunQueue
+# ResidentRunQueue ≡ RunQueue
 # ----------------------------------------------------------------------
 # Operation alphabet: (op, argument)
 #   insert      — new process at a priority
-#   insert_head — new process prepended
 #   pop         — pop_best from both, compare
 #   remove      — remove the k-th live member (same in both)
 #   retag       — change the k-th live member's priority *without*
@@ -113,7 +124,6 @@ def test_decay_then_priority_composes_like_the_eager_loop(rows, load):
 _ops = st.lists(
     st.one_of(
         st.tuples(st.just("insert"), st.integers(0, NQS * PPQ - 1)),
-        st.tuples(st.just("insert_head"), st.integers(0, NQS * PPQ - 1)),
         st.tuples(st.just("pop"), st.just(0)),
         st.tuples(st.just("remove"), st.integers(0, 10_000)),
         st.tuples(
@@ -130,7 +140,8 @@ _ops = st.lists(
 @settings(max_examples=200, deadline=None)
 def test_array_runqueue_matches_linked_list_runqueue(ops):
     reference = RunQueue()
-    array = ArrayRunQueue()
+    array = ResidentRunQueue()
+    store = ResidentStore()
     # Two mirror Process populations: queue membership mutates the
     # Process objects' bucket linkage, so each queue gets its own.
     ref_procs: dict[int, Process] = {}
@@ -138,13 +149,13 @@ def test_array_runqueue_matches_linked_list_runqueue(ops):
     live: list[int] = []  # insertion-ordered live pids
     next_pid = 1
     for op, arg in ops:
-        if op in ("insert", "insert_head"):
+        if op == "insert":
             pid, pri = next_pid, arg
             next_pid += 1
             ref_procs[pid] = _proc(pid, pri)
-            arr_procs[pid] = _proc(pid, pri)
-            getattr(reference, op)(ref_procs[pid])
-            getattr(array, op)(arr_procs[pid])
+            arr_procs[pid] = _view(store, pid, pri)
+            reference.insert(ref_procs[pid])
+            array.insert(arr_procs[pid])
             live.append(pid)
         elif op == "pop":
             a = reference.pop_best()
@@ -180,127 +191,60 @@ def test_array_runqueue_matches_linked_list_runqueue(ops):
 
 
 def test_array_runqueue_rejects_out_of_range_priority():
-    queue = ArrayRunQueue()
+    queue = ResidentRunQueue()
+    store = ResidentStore()
     from repro.errors import KernelError
 
     with pytest.raises(KernelError):
-        queue.insert(_proc(1, priority=NQS * PPQ))
+        queue.insert(_view(store, 1, priority=NQS * PPQ))
     with pytest.raises(KernelError):
-        queue.insert(_proc(2, priority=-1))
+        queue.insert(_view(store, 2, priority=-1))
     with pytest.raises(KernelError):
-        queue.remove(_proc(3, priority=5))  # never inserted
+        queue.remove(_view(store, 3, priority=5))  # never inserted
+    popped = _view(store, 4, priority=5)
+    queue.insert(popped)
+    assert queue.pop_best() is popped
+    with pytest.raises(KernelError):
+        queue.remove(popped)  # already dequeued
 
 
-def test_array_runqueue_contains_and_compaction():
-    queue = ArrayRunQueue()
-    procs = [_proc(pid, priority=8) for pid in range(1, 101)]
+def test_array_runqueue_tombstones_keep_fifo_order():
+    queue = ResidentRunQueue()
+    store = ResidentStore()
+    procs = [_view(store, pid, priority=8) for pid in range(1, 101)]
     for proc in procs:
         queue.insert(proc)
-    # Pop enough to trigger the dead-prefix compaction branch.
-    for i in range(70):
-        assert queue.pop_best() is procs[i]
-    assert procs[69] not in queue
-    assert procs[70] in queue
-    assert len(queue) == 30
-    assert [queue.pop_best().pid for _ in range(30)] == list(range(71, 101))
+    # Tombstone every third process, then requeue one at the tail.
+    removed = {proc.pid for proc in procs[::3]}
+    for proc in procs[::3]:
+        queue.remove(proc)
+    queue.remove(procs[1])
+    queue.insert(procs[1])
+    assert len(queue) == 100 - len(removed)
+    expected = [p.pid for p in procs if p.pid not in removed | {procs[1].pid}]
+    expected.append(procs[1].pid)
+    assert [queue.pop_best().pid for _ in range(len(queue))] == expected
+    assert queue.pop_best() is None and queue.best_priority() is None
 
 
 # ----------------------------------------------------------------------
-# SoaState gather/scatter round trip
+# Store masks mirror kernel state
 # ----------------------------------------------------------------------
-_states = st.sampled_from(list(ProcState))
-_pcb_rows = st.lists(
-    st.tuples(
-        estcpus,  # estcpu
-        st.integers(0, 127),  # priority
-        nices,  # nice
-        st.integers(0, 1000),  # slptime
-        st.integers(0, 10**9),  # cpu_time
-        st.integers(0, 10**9),  # run_start
-        st.integers(0, 10**6),  # pending_burst_us
-        _states,
-        st.booleans(),  # stopped
-        st.one_of(st.none(), st.integers(0, 127)),  # boost_priority
-    ),
-    min_size=1,
-    max_size=40,
-)
-
-
-def _populate(proc: Process, row) -> None:
-    (
-        proc.estcpu,
-        proc.priority,
-        proc.nice,
-        proc.slptime,
-        proc.cpu_time,
-        proc.run_start,
-        proc.pending_burst_us,
-        proc.state,
-        proc.stopped,
-        proc.boost_priority,
-    ) = row
-
-
-@given(rows=_pcb_rows)
-@settings(max_examples=200, deadline=None)
-def test_soa_gather_scatter_round_trips_exactly(rows):
-    originals = []
-    blanks = []
-    for pid, row in enumerate(rows, start=1):
-        proc = _proc(pid)
-        _populate(proc, row)
-        if proc.state is ProcState.SLEEPING:
-            proc.wait_channel = f"chan{pid}"
-        originals.append(proc)
-        blanks.append(_proc(pid))
-    soa = SoaState.gather(originals, on_runq={1})
-    assert len(soa) == len(rows)
-    assert soa.slot_of == {p.pid: i for i, p in enumerate(originals)}
-    soa.scatter(blanks)
-    for orig, blank in zip(originals, blanks):
-        assert blank.estcpu == orig.estcpu
-        assert blank.priority == orig.priority
-        assert blank.nice == orig.nice
-        assert blank.slptime == orig.slptime
-        assert blank.cpu_time == orig.cpu_time
-        assert blank.run_start == orig.run_start
-        assert blank.pending_burst_us == orig.pending_burst_us
-        assert blank.state is orig.state
-        assert blank.stopped == orig.stopped
-        assert blank.boost_priority == orig.boost_priority
-
-
-def test_soa_gather_captures_masks_and_deadlines():
+def test_resident_store_masks_mirror_kernel_state():
+    from repro.kernel import KernelConfig, make_kernel
     from repro.sim.engine import Engine
-    from repro.kernel.batch import NO_VALUE, BatchKernel
-
-    engine = Engine(seed=0)
-    kernel = BatchKernel(engine)
     from repro.workloads.spinner import spinner_behavior
 
-    a = kernel.spawn("a", spinner_behavior())
-    b = kernel.spawn("b", spinner_behavior())
+    engine = Engine(seed=0)
+    kernel = make_kernel(engine, KernelConfig(backend="resident"))
+    procs = [kernel.spawn(f"p{i}", spinner_behavior()) for i in range(3)]
     engine.run_until(50_000)
-    soa = kernel.soa_snapshot()
-    by_pid = {int(pid): i for i, pid in enumerate(soa.pids)}
-    assert set(by_pid) >= {a.pid, b.pid}
-    # Run-queue membership mask mirrors the kernel's on-runq set.
-    for pid, slot in by_pid.items():
-        assert bool(soa.on_runq[slot]) == (pid in kernel._on_runq)
-    # Exactly one spinner is on CPU; its burst deadline is armed.
-    running = [
-        i for i in range(len(soa)) if soa.state[i] == 1  # RUNNING code
-    ]
-    assert len(running) == 1
-    assert soa.deadline[running[0]] != NO_VALUE
-
-
-def test_soa_scatter_rejects_mismatched_rows():
-    from repro.errors import KernelError
-
-    soa = SoaState.gather([_proc(1), _proc(2)])
-    with pytest.raises(KernelError, match="row mismatch"):
-        soa.scatter([_proc(1)])
-    with pytest.raises(KernelError, match="pid mismatch"):
-        soa.scatter([_proc(1), _proc(3)])
+    store = kernel.store
+    on_runq = store.np_view("on_runq")
+    state = store.np_view("state")
+    for proc in procs:
+        row = store.slot_of[proc.pid]
+        assert bool(on_runq[row]) == (proc.pid in kernel._on_runq)
+        assert state[row] == STATE_CODES[proc.state]
+    # Exactly one spinner is on the CPU.
+    assert int((state == STATE_CODES[ProcState.RUNNING]).sum()) == 1

@@ -18,8 +18,8 @@ directly.  The whole backend rests on two claims, pinned here:
 Plus the fault-injection seam: :class:`~repro.faults.injector.
 FaultyKernelAPI` must *not* forward ``measure_many``, so a faulted
 resident run takes the agent's classic per-pid measurement path and
-replays the identical per-call fault RNG draw sequence as every other
-backend.
+replays the identical per-call fault RNG draw sequence as the strict
+kernel.
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def test_view_and_array_mutations_observe_each_other(n, ops, data):
 def test_encoded_fields_round_trip_through_view_and_store(n, data):
     """state/stopped/boost_priority/wait_channel encode into array
     columns through the property; direct column writes decode back."""
-    from repro.kernel.batch import NO_VALUE, STATE_CODES
+    from repro.kernel.resident import NO_VALUE, STATE_CODES
 
     store = ResidentStore(capacity=2)
     procs = _attach_n(store, n)
@@ -207,11 +207,11 @@ def test_faulty_kapi_hides_measure_many_from_the_agent():
     assert getattr(wrapped, "measure_many", None) is None
 
 
-@pytest.mark.parametrize("backend", ["batch", "resident"])
+@pytest.mark.parametrize("backend", ["resident"])
 def test_faulted_resident_fingerprint_matches_strict(backend):
-    """Under an active fault plan every backend must replay the exact
-    same fault realization and schedule (the injector wraps the kapi,
-    so measurement is per-pid everywhere)."""
+    """Under an active fault plan the resident backend must replay the
+    exact fault realization and schedule of strict (the injector wraps
+    the kapi, so measurement is per-pid on both)."""
     from repro.faults.plan import FaultPlan, ProcessCrash
     from repro.perf.differential import describe_difference, fingerprint_run
     from repro.units import sec

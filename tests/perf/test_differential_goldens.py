@@ -1,11 +1,12 @@
-"""Golden-trace differential tests: strict vs optimized kernel paths.
+"""Golden-trace differential tests: strict vs optimized kernel.
 
-Every schedule-invisible fast path in the substrate is only allowed to
+The optimized kernel — the array-resident backend — is only allowed to
 exist because these tests hold: for equal seeds, each Table 2 workload
-must produce byte-identical cycle logs and event traces whether the
-kernel runs its original eager bookkeeping (``strict=True``) or the
-optimized lazy path (the default).  The full acceptance sweep is
-DISTRIBUTIONS × {5, 10, 20} × seeds {0, 1, 2}.
+must produce byte-identical cycle logs and event traces whether it runs
+on the strict reference kernel (``backend="strict"``) or on the
+resident one (``backend="resident"``), through the same
+:func:`compare_cell` harness ``repro perf diff`` uses.  The full
+acceptance sweep is DISTRIBUTIONS × {5, 10, 20} × seeds {0, 1, 2}.
 """
 
 from __future__ import annotations
@@ -33,12 +34,12 @@ HORIZON_US = sec(5)
 def test_strict_and_optimized_schedules_are_byte_identical(model, n, seed):
     cell = compare_cell(model, n, seed, horizon_us=HORIZON_US)
     assert cell.matches, (
-        f"{model.value} n={n} seed={seed}: strict and optimized paths "
+        f"{model.value} n={n} seed={seed}: strict and resident backends "
         f"diverged — {cell.detail}"
     )
     # The digests double as goldens within the run: equal fingerprints
     # must render equal digests.
-    assert cell.strict_digest == cell.optimized_digest
+    assert cell.strict_digest == cell.resident_digest
 
 
 def test_fingerprint_is_reproducible_for_equal_seeds():

@@ -1,17 +1,12 @@
-"""Deterministic same-timestamp ordering, classic and fused.
+"""Deterministic same-timestamp ordering.
 
 The simulation's byte-identity guarantees bottom out here: events that
 share a ``(time, priority)`` must fire in scheduling order (FIFO via the
-unique sequence number), and the fused same-instant stepping mode used
-by the batch kernel backend must dispatch in *exactly* the order the
-classic per-pop loop would — including when callbacks schedule or
-cancel same-instant work mid-batch.
+unique sequence number), and the engine's run loop must keep that order
+when callbacks schedule, cancel, or stop work at the current instant.
 """
 
 from __future__ import annotations
-
-import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.sim.engine import Engine
 from repro.sim.event_queue import EventQueue
@@ -48,121 +43,29 @@ def test_priority_breaks_ties_before_sequence():
     assert tags == ["early", "late", "late2"]
 
 
-def test_pop_time_batch_preserves_heap_order_and_liveness():
-    queue = EventQueue()
-    handles = [queue.schedule(100, lambda e: None, p) for p in (3, 1, 2)]
-    queue.schedule(200, lambda e: None, 0, None, "future")
-    entries = queue.pop_time_batch(until=1000)
-    # All three same-instant entries, in (time, priority, seq) order.
-    assert [(e[0], e[1]) for e in entries] == [(100, 1), (100, 2), (100, 3)]
-    # Batch-popped events are still live and still cancellable.
-    assert len(queue) == 4
-    assert all(h.active for h in handles)
-    for entry in entries:
-        queue.mark_fired(entry[3])
-    assert len(queue) == 1
-    assert queue.peek_key() == (200, 0, 4)
-
-
-def test_pop_time_batch_respects_until_and_skips_cancelled():
-    queue = EventQueue()
-    doomed = queue.schedule(100, lambda e: None, 0)
-    queue.schedule(100, lambda e: None, 1, None, "kept")
-    doomed.cancel()
-    entries = queue.pop_time_batch(until=99)
-    assert entries is None  # earliest pending fires after `until`... no:
-    # cancelled head was at 100 too — recheck with a reachable horizon.
-    entries = queue.pop_time_batch(until=100)
-    assert [e[3].tag for e in entries] == ["kept"]
-    assert queue.pop_time_batch(until=10**9) is None
-
-
-def test_push_back_restores_undispatched_tail_exactly():
-    queue = EventQueue()
-    for p in range(4):
-        queue.schedule(50, lambda e: None, p, None, f"p{p}")
-    entries = queue.pop_time_batch(until=50)
-    queue.mark_fired(entries[0][3])
-    queue.push_back(entries[1:])
-    assert len(queue) == 3
-    tags = []
-    while (event := queue.pop()) is not None:
-        tags.append(event.tag)
-    assert tags == ["p1", "p2", "p3"]
-
-
-def test_push_back_drops_cancelled_and_fired_entries():
-    queue = EventQueue()
-    ha = queue.schedule(50, lambda e: None, 0)
-    queue.schedule(50, lambda e: None, 1)
-    entries = queue.pop_time_batch(until=50)
-    queue.mark_fired(entries[1][3])
-    ha.cancel()
-    queue.push_back(entries)
-    assert len(queue) == 0
-    assert queue.pop() is None
-
-
 # ----------------------------------------------------------------------
-# Fused engine ≡ classic engine
+# Engine-level same-instant semantics
 # ----------------------------------------------------------------------
-def _fused_engine() -> Engine:
+def test_callback_scheduling_same_instant_interleaves():
+    """A callback schedules same-instant work that sorts before the
+    remaining same-instant event: it fires first."""
     engine = Engine(seed=0)
-    engine.enable_fused_stepping()
-    return engine
-
-
-def _run_script(engine: Engine, script, until: int) -> list[str]:
-    """Schedule ``script`` = [(time, priority, label)] and run."""
     log: list[str] = []
-    for time, priority, label in script:
-        engine.at(time, _recorder(log, label), priority=priority)
-    engine.run_until(until)
-    return log
+
+    def first(event):
+        log.append("first")
+        # priority 1 sorts before the pending priority-2 event.
+        engine.at(100, _recorder(log, "injected"), priority=1)
+
+    engine.at(100, first, priority=0)
+    engine.at(100, _recorder(log, "second"), priority=2)
+    engine.run_until(1000)
+    assert log == ["first", "injected", "second"]
 
 
-_scripts = st.lists(
-    st.tuples(st.integers(0, 8), st.integers(0, 2)),
-    min_size=1,
-    max_size=60,
-)
-
-
-@given(script=_scripts)
-@settings(max_examples=200, deadline=None)
-def test_fused_run_matches_classic_run(script):
-    labeled = [(t, p, f"{i}:{t}.{p}") for i, (t, p) in enumerate(script)]
-    classic = _run_script(Engine(seed=0), labeled, until=10)
-    fused = _run_script(_fused_engine(), labeled, until=10)
-    assert fused == classic
-    assert len(fused) == len(labeled)
-
-
-def test_fused_callback_scheduling_same_instant_interleaves():
-    """A callback schedules same-instant work that must fire *before*
-    the rest of the batch — the order guard must yield to the heap."""
-    for make in (Engine, _fused_engine):
-        engine = make()
-        log: list[str] = []
-
-        def first(event, engine=engine, log=log):
-            log.append("first")
-            # priority 1 sorts before the pending priority-2 batch entry.
-            engine.at(100, _recorder(log, "injected"), priority=1)
-
-        engine.at(100, first, priority=0)
-        engine.at(100, _recorder(log, "second"), priority=2)
-        engine.run_until(1000)
-        if make is Engine:
-            classic = list(log)
-        else:
-            assert log == classic
-    assert classic == ["first", "injected", "second"]
-
-
-def test_fused_callback_scheduling_later_same_instant_does_not_interleave():
-    """Same-instant work that sorts *after* the batch stays after it."""
-    engine = _fused_engine()
+def test_callback_scheduling_later_same_instant_does_not_interleave():
+    """Same-instant work that sorts *after* the pending events stays after."""
+    engine = Engine(seed=0)
     log: list[str] = []
 
     def first(event):
@@ -175,32 +78,26 @@ def test_fused_callback_scheduling_later_same_instant_does_not_interleave():
     assert log == ["first", "second", "appended"]
 
 
-def test_fused_mid_batch_cancellation_suppresses_dispatch():
+def test_mid_instant_cancellation_suppresses_dispatch():
     """An earlier same-instant event cancels a later one: the cancelled
-    event must not fire in either mode (the classic loop never pops it
-    as pending; the fused loop re-checks at dispatch)."""
-    results = {}
-    for name, make in (("classic", Engine), ("fused", _fused_engine)):
-        engine = make()
-        log: list[str] = []
-        handle_box = {}
+    event never fires."""
+    engine = Engine(seed=0)
+    log: list[str] = []
+    handle_box = {}
 
-        def killer(event, engine=engine, log=log, box=handle_box):
-            log.append("killer")
-            box["victim"].cancel()
+    def killer(event):
+        log.append("killer")
+        handle_box["victim"].cancel()
 
-        engine.at(100, killer, priority=0)
-        handle_box["victim"] = engine.at(
-            100, _recorder(log, "victim"), priority=1
-        )
-        engine.at(100, _recorder(log, "survivor"), priority=2)
-        engine.run_until(1000)
-        results[name] = log
-    assert results["fused"] == results["classic"] == ["killer", "survivor"]
+    engine.at(100, killer, priority=0)
+    handle_box["victim"] = engine.at(100, _recorder(log, "victim"), priority=1)
+    engine.at(100, _recorder(log, "survivor"), priority=2)
+    engine.run_until(1000)
+    assert log == ["killer", "survivor"]
 
 
-def test_fused_stop_mid_batch_pushes_tail_back():
-    engine = _fused_engine()
+def test_stop_mid_instant_leaves_the_rest_pending():
+    engine = Engine(seed=0)
     log: list[str] = []
 
     def stopper(event):
@@ -212,13 +109,13 @@ def test_fused_stop_mid_batch_pushes_tail_back():
     processed = engine.run_until(1000)
     assert processed == 1
     assert log == ["stopper"]
-    assert len(engine.queue) == 1  # tail pushed back, still pending
+    assert len(engine.queue) == 1  # still pending
     engine.run_until(1000)
     assert log == ["stopper", "tail"]
 
 
-def test_fused_live_count_stays_consistent():
-    engine = _fused_engine()
+def test_live_count_stays_consistent():
+    engine = Engine(seed=0)
     for t in (10, 10, 10, 20, 20):
         engine.at(t, lambda e: None)
     assert len(engine.queue) == 5
@@ -228,10 +125,8 @@ def test_fused_live_count_stays_consistent():
     assert len(engine.queue) == 0
 
 
-def test_fused_respects_max_events_via_classic_fallback():
-    """``max_events`` callers get the classic loop (fused mode only
-    handles unbounded runs) — semantics must not change."""
-    engine = _fused_engine()
+def test_max_events_bounds_a_same_instant_run():
+    engine = Engine(seed=0)
     log: list[str] = []
     for i in range(5):
         engine.at(10, _recorder(log, f"e{i}"))
@@ -239,18 +134,3 @@ def test_fused_respects_max_events_via_classic_fallback():
     assert log == ["e0", "e1"]
     engine.run_until(10)
     assert log == [f"e{i}" for i in range(5)]
-
-
-def test_fused_clock_and_counters_match_classic():
-    script = [(3, 0, "a"), (3, 1, "b"), (7, 0, "c")]
-    classic_engine = Engine(seed=0)
-    fused_engine = _fused_engine()
-    classic = _run_script(classic_engine, script, until=9)
-    fused = _run_script(fused_engine, script, until=9)
-    assert fused == classic
-    assert fused_engine.now == classic_engine.now == 9
-    assert (
-        fused_engine.events_processed
-        == classic_engine.events_processed
-        == 3
-    )

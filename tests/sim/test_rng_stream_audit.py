@@ -1,4 +1,4 @@
-"""Seed-stream audit for the batch kernel backend.
+"""Seed-stream audit for the resident kernel backend.
 
 Determinism across backends requires more than identical arithmetic: no
 backend may *create* (or consume from) an RNG stream the others don't,
@@ -6,12 +6,12 @@ because :class:`~repro.sim.rng.RngStreams` seeds streams by name and a
 new consumer would shift nothing — but a *shared* consumer would shift
 every later draw on that stream.  The audit pins three facts:
 
-* strict and batch runs materialize the identical set of engine stream
-  labels (the batch backend introduces no streams of its own);
+* strict and resident runs materialize the identical set of engine
+  stream labels (the resident backend introduces no streams of its own);
 * the fault injector's streams live in a private ``RngStreams`` keyed
   by the plan seed, disjoint from the engine's streams by construction
   — so batched measurement cannot perturb fault draws via the engine;
-* the batch module's source never touches an RNG at all.
+* the resident module's source never touches an RNG at all.
 """
 
 from __future__ import annotations
@@ -33,17 +33,17 @@ def _run(backend: str, *, fault_plan: FaultPlan | None = None):
         SHARES,
         AlpsConfig(),
         seed=7,
-        kernel_config=KernelConfig(strict=(backend == "strict"), backend=backend),
+        kernel_config=KernelConfig(backend=backend),
         fault_plan=fault_plan,
     )
     cw.engine.run_until(HORIZON_US)
     return cw
 
 
-def test_batch_backend_creates_no_new_engine_streams():
+def test_resident_backend_creates_no_new_engine_streams():
     strict = _run("strict")
-    batch = _run("batch")
-    assert set(batch.engine.rng._streams) == set(strict.engine.rng._streams)
+    resident = _run("resident")
+    assert set(resident.engine.rng._streams) == set(strict.engine.rng._streams)
 
 
 def test_injector_streams_disjoint_from_engine_streams():
@@ -53,7 +53,10 @@ def test_injector_streams_disjoint_from_engine_streams():
         signal_drop_prob=0.05,
         rusage_fail_prob=0.02,
     )
-    runs = {backend: _run(backend, fault_plan=plan) for backend in ("strict", "batch")}
+    runs = {
+        backend: _run(backend, fault_plan=plan)
+        for backend in ("strict", "resident")
+    }
     labels = {}
     for backend, cw in runs.items():
         injector_streams = set(cw.injector.rng._streams)
@@ -64,15 +67,15 @@ def test_injector_streams_disjoint_from_engine_streams():
         assert cw.injector.rng is not cw.engine.rng
         assert injector_streams, "fault plan should have drawn at least once"
         labels[backend] = (injector_streams, engine_streams)
-    assert labels["batch"] == labels["strict"]
+    assert labels["resident"] == labels["strict"]
 
 
-def test_batch_module_source_never_touches_rng():
-    import repro.kernel.batch as batch_module
+def test_resident_module_source_never_touches_rng():
+    import repro.kernel.resident as resident_module
 
-    source = inspect.getsource(batch_module)
+    source = inspect.getsource(resident_module)
     for needle in ("rng", "random", "RngStreams"):
         assert needle not in source, (
-            f"{needle!r} appears in repro.kernel.batch — the batch backend "
-            "must stay RNG-free to preserve cross-backend draw order"
+            f"{needle!r} appears in repro.kernel.resident — the resident "
+            "backend must stay RNG-free to preserve cross-backend draw order"
         )

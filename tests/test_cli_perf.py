@@ -1,13 +1,15 @@
 """CLI surface of the perf tooling (`repro perf report` / `perf diff`).
 
-Pins the backend flag matrix — including the resident backend and the
-``--backend all`` side-by-side comparison — and the mismatch contract
-of ``perf diff``: non-zero exit plus a one-line *stderr* summary naming
-the first mismatching cell (backend, model, size, seed) and the first
-diverging byte offset.
+Pins the ``perf report --backend`` choices — including the ``all``
+side-by-side comparison — and the mismatch contract of ``perf diff``
+(strict vs resident): non-zero exit plus a one-line *stderr* summary
+naming the first mismatching cell (backend, model, size, seed) and the
+first diverging byte offset.
 """
 
 from __future__ import annotations
+
+import pytest
 
 from repro.cli.main import main
 
@@ -36,12 +38,19 @@ def test_perf_report_backend_all_prints_side_by_side(capsys):
     )
     out = capsys.readouterr().out
     assert rc == 0
-    assert "fastloop impl:" in out
+    assert "fastloop" not in out
     # One throughput row per backend, side by side.
-    for backend in ("strict", "optimized", "batch", "resident"):
-        assert backend in out
+    rows = [line.split()[0] for line in out.splitlines()[1:3]]
+    assert rows == ["strict", "resident"]
     assert "events/sec" in out
     assert "all backends agree" in out
+
+
+def test_perf_report_rejects_retired_backends(capsys):
+    for retired in ("optimized", "batch"):
+        with pytest.raises(SystemExit):
+            main(["perf", "report", "--backend", retired])
+    capsys.readouterr()
 
 
 def test_perf_diff_accepts_resident_challenger(capsys):
@@ -51,12 +60,12 @@ def test_perf_diff_accepts_resident_challenger(capsys):
             "--sizes", "5",
             "--seeds", "0",
             "--seconds", "1",
-            "--backend", "resident",
         ]
     )
     captured = capsys.readouterr()
     assert rc == 0
     assert "0 mismatches" in captured.out
+    assert "strict and resident backends agree" in captured.out
     assert captured.err == ""  # summary line only appears on mismatch
 
 
@@ -74,7 +83,7 @@ def test_perf_diff_mismatch_names_cell_and_byte_offset_on_stderr(
             seed=0,
             matches=True,
             strict_digest="a" * 16,
-            optimized_digest="a" * 16,
+            resident_digest="a" * 16,
         ),
         CellComparison(
             model=ShareDistribution.LINEAR,
@@ -82,7 +91,7 @@ def test_perf_diff_mismatch_names_cell_and_byte_offset_on_stderr(
             seed=2,
             matches=False,
             strict_digest="b" * 16,
-            optimized_digest="c" * 16,
+            resident_digest="c" * 16,
             detail="trace line 4: strict='x' resident='y'",
             diverged_section="trace",
             diverged_byte=137,
@@ -91,7 +100,7 @@ def test_perf_diff_mismatch_names_cell_and_byte_offset_on_stderr(
     monkeypatch.setattr(
         differential, "differential_check", lambda **kwargs: cells
     )
-    rc = main(["perf", "diff", "--backend", "resident"])
+    rc = main(["perf", "diff"])
     captured = capsys.readouterr()
     assert rc == 1
     assert "1 mismatches" in captured.out

@@ -44,6 +44,7 @@ from repro.alps.algorithm import AlpsCore, QuantumDecisions
 from repro.alps.config import AlpsConfig
 from repro.alps.costs import CostAccumulator
 from repro.alps.instrumentation import CycleLog
+from repro.alps.membership import Membership
 from repro.alps.state import Eligibility
 from repro.alps.subjects import ProcessSubject, Subject
 from repro.errors import (
@@ -54,13 +55,12 @@ from repro.errors import (
 )
 from repro.kernel.actions import Action, Compute, Sleep
 from repro.kernel.signals import SIGCONT, SIGSTOP
-from repro.overload.ladder import Rung
 from repro.resilience.journal import (
-    SNAPSHOT_VERSION,
-    core_snapshot,
     drain_debt,
+    driver_snapshot,
     restore_core,
     schedule_debt,
+    snapshot_map,
     validate_snapshot,
 )
 
@@ -73,7 +73,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.observer import Observer
     from repro.overload.guard import OverloadGuard
     from repro.resilience.journal import MemoryJournal
-    from repro.sharetree.tree import ShareNode, ShareTree
+    from repro.sharetree.tree import ShareTree
 
 
 _EMPTY_SET: frozenset[int] = frozenset()
@@ -99,8 +99,8 @@ class AlpsAgent:
         if len(self.subjects) != len(subjects):
             raise ValueError("subject ids must be unique")
         # Single-process subjects, cached for the per-quantum liveness
-        # sweep (subjects are only ever removed, in _reap_dead_subjects,
-        # which also maintains this list).
+        # sweep (kept in step by _reap_dead_subjects and by the
+        # membership driver on admission, shed and release).
         self._proc_subjects: list[ProcessSubject] = [
             s for s in self.subjects.values() if isinstance(s, ProcessSubject)
         ]
@@ -109,6 +109,9 @@ class AlpsAgent:
             config.quantum_us,
             optimized=config.optimized,
         )
+        #: Admission, share-tree and shed policy over ``subjects``, shared
+        #: with HostAlps; idle without a guard or a tree (seed behavior).
+        self.membership = Membership(self.core, self.subjects)
         self._acc = CostAccumulator()
         # Hoisted scalars for the per-quantum charge arithmetic (the
         # cost model is a frozen dataclass; these cannot drift).
@@ -131,10 +134,8 @@ class AlpsAgent:
         self._cumulative: dict[int, int] = {}
         #: The boundary the agent intended to wake at (stall detection).
         self._sleep_target = 0
-        #: Previous wake's timestamp and the intended wake-to-wake
-        #: period, for the overload layer's cadence-slip signal; -1
-        #: means no previous wake (startup, crash-restart).
-        self._last_wake_now = -1
+        #: Intended wake-to-wake period, for the overload layer's
+        #: cadence-slip signal.
         self._wake_cadence_us = config.quantum_us
         #: Fractional CPU owed for recovery work (retries), folded into
         #: the next quantum's charge.
@@ -189,24 +190,6 @@ class AlpsAgent:
         #: Downtime CPU debt (µs) per subject awaiting amortized
         #: repayment (:func:`~repro.resilience.journal.drain_debt`).
         self._deferred_debt: dict[int, int] = {}
-        # -- overload protection (docs/overload.md) --------------------
-        #: Guard composing admission control, the timer-slip monitor and
-        #: the degradation ladder; None = no overload layer (exact seed
-        #: behavior).  Schedule-invisible while the ladder sits at
-        #: NORMAL: the wake-path hook is pure bookkeeping that charges
-        #: no CPU and changes no decision until a rung engages.
-        self._overload: Optional["OverloadGuard"] = None
-        #: Subjects currently released to best-effort by the SHED rung,
-        #: kept aside (out of the core and the liveness sweep) until the
-        #: ladder walks back down and readmits them.
-        self._shed_subjects: dict[int, Subject] = {}
-        # -- hierarchical shares (docs/share_tree.md) ------------------
-        #: Share tree resolving each subject's effective share from its
-        #: ancestors' weights; None = the flat model (exact seed
-        #: behavior).  A flat-equivalent tree is schedule-invisible:
-        #: its effective shares equal the raw weights verbatim, so
-        #: every ``set_share`` it issues no-ops on a zero delta.
-        self._sharetree: Optional["ShareTree"] = None
 
     # ------------------------------------------------------------------
     # Introspection used by experiments
@@ -254,14 +237,16 @@ class AlpsAgent:
         scheduled delivery); the guard's ladder answers with the current
         quantum stretch, measurement-postponement boost, and shed
         decisions, which the agent enacts.  Like the journal and the
-        observer, an attached-but-idle guard is schedule-invisible.
+        observer, an attached-but-idle guard is schedule-invisible: the
+        wake-path hook is pure bookkeeping that charges no CPU and
+        changes no decision until a rung engages.
         """
-        self._overload = guard
+        self.membership.guard = guard
 
     @property
     def overload(self) -> Optional["OverloadGuard"]:
         """The attached overload guard, if any (obs/top surface)."""
-        return self._overload
+        return self.membership.guard
 
     @property
     def timer_slip_us(self) -> int:
@@ -271,7 +256,7 @@ class AlpsAgent:
         starvation shows up as supervisor pressure, not just as an
         overload metric.
         """
-        guard = self._overload
+        guard = self.membership.guard
         if guard is None:
             return 0
         return int(guard.slip.last_quanta * self._quantum_us)
@@ -290,164 +275,20 @@ class AlpsAgent:
         the same schedule-invisibility discipline as the journal, the
         observer, and the overload guard.
         """
-        self._sharetree = tree
-        self.reweigh_from_tree()
+        self.membership.attach_tree(tree)
 
     @property
     def sharetree(self) -> Optional["ShareTree"]:
         """The attached share tree, if any (obs/top surface)."""
-        return self._sharetree
-
-    def reweigh_from_tree(self) -> None:
-        """Re-apply the tree's effective shares to the core.
-
-        ``AlpsCore.set_share`` early-outs on a zero delta, so this is
-        free (and trace-invisible) whenever the resolved shares already
-        match — the flat-equivalence case.
-        """
-        tree = self._sharetree
-        if tree is None:
-            return
-        core_subjects = self.core.subjects
-        for sid, share in tree.effective_shares().items():
-            if sid not in core_subjects:
-                continue
-            self.core.set_share(sid, share)
-            subj = self.subjects.get(sid)
-            if subj is not None:
-                subj.share = share
+        return self.membership.tree
 
     def set_tree_weight(self, path: str, weight: int) -> None:
         """Reweight a tree node; every descendant leaf follows."""
-        tree = self._sharetree
-        if tree is None:
-            raise SchedulerConfigError("no share tree attached")
-        tree.set_weight(path, weight)
-        self.reweigh_from_tree()
+        self.membership.set_tree_weight(path, weight)
 
-    def _active_leaves_under(self, gate: "ShareNode") -> int:
-        """Admitted members of a gated subtree (its enforced count)."""
-        tree = self._sharetree
-        assert tree is not None
-        core_subjects = self.core.subjects
-        return sum(
-            1 for leaf in tree.leaves(gate) if leaf.sid in core_subjects
-        )
-
-    def _submit_tree_subject(
-        self, subject: Subject, kapi: "KernelAPI", path: str
-    ) -> bool:
-        """Route an arrival through its subtree's admission gate.
-
-        The leaf is only created in the tree once admitted — a queued
-        arrival must not dilute its siblings' effective shares while it
-        waits.  Queue entries are ``(subject, path)`` pairs.
-        """
-        tree = self._sharetree
-        assert tree is not None
-        parent = tree.node(path.rpartition("/")[0])
-        gate = tree.admission_for(parent)
-        obs = self._obs
-        if gate is not None:
-            assert gate.admission is not None
-            admitted = gate.admission.submit(
-                (subject, path), self._active_leaves_under(gate)
-            )
-            if not admitted:
-                if obs is not None and obs.enabled:
-                    obs.events.emit(
-                        kapi.now, "sharetree.queued",
-                        sid=subject.sid, path=path,
-                        depth=gate.admission.depth,
-                    )
-                return False
-        tree.leaf(path, sid=subject.sid, weight=subject.share)
-        if not self._admit_subject(subject, kapi):
-            tree.remove(path)  # died before admission
-            return False
-        self.reweigh_from_tree()
-        if obs is not None and obs.enabled:
-            obs.events.emit(
-                kapi.now, "sharetree.admitted", sid=subject.sid, path=path
-            )
-        return True
-
-    def _drain_tree_admissions(self, kapi: "KernelAPI") -> float:
-        """Admit queued subtree arrivals into spare capacity (per gate)."""
-        tree = self._sharetree
-        assert tree is not None
-        npids = 0
-        admitted_any = False
-        obs = self._obs
-        for gate in tree.gates():
-            queue = gate.admission
-            if queue is None or not queue.depth:
-                continue
-            for subject, path in queue.admit_ready(
-                self._active_leaves_under(gate)
-            ):
-                try:
-                    tree.leaf(path, sid=subject.sid, weight=subject.share)
-                except SchedulerConfigError:
-                    continue  # its branch vanished while it waited
-                if not self._admit_subject(subject, kapi):
-                    tree.remove(path)
-                    continue
-                admitted_any = True
-                npids += len(subject.pids(kapi))
-                if obs is not None and obs.enabled:
-                    obs.events.emit(
-                        kapi.now, "sharetree.admitted",
-                        sid=subject.sid, path=path,
-                    )
-        if admitted_any:
-            self.reweigh_from_tree()
-        if npids == 0:
-            return 0.0
-        self.reads += npids
-        return self.cfg.costs.measure_cost(npids)
-
-    def release_subject(self, sid: int, kapi: "KernelAPI") -> Subject:
-        """Withdraw a subject from this agent (cell migration).
-
-        The control-plane half of rebalancing: the subject leaves the
-        enforced set, its stopped pids are resumed so it is never
-        wedged between cells, and the subject object is returned for
-        :meth:`adopt_subject` on the destination agent.
-        """
-        subj = self.subjects.pop(sid, None)
-        if subj is None:
-            subj = self._shed_subjects.pop(sid, None)
-            if subj is not None:
-                guard = self._overload
-                if guard is not None:
-                    guard.note_departed(sid)
-                return subj  # shed: already best-effort, nothing stopped
-            raise SchedulerConfigError(f"agent does not control sid {sid}")
-        if isinstance(subj, ProcessSubject):
-            self._proc_subjects.remove(subj)
-        if sid in self.core.subjects:
-            self.core.remove_subject(sid)
-        for pid in subj.pids(kapi):
-            if pid in self._stopped_pids:
-                try:
-                    kapi.kill(pid, SIGCONT)
-                    self.signals_sent += 1
-                except NoSuchProcessError:
-                    pass
-            self._forget_pid(pid)
-        self._cumulative.pop(sid, None)
-        return subj
-
-    def adopt_subject(self, subject: Subject, kapi: "KernelAPI") -> bool:
-        """Receive a migrating subject (already admitted in its old
-        cell, so admission control is deliberately bypassed)."""
-        if not self._admit_subject(subject, kapi):
-            return False
-        if self._sharetree is not None:
-            self.reweigh_from_tree()
-        return True
-
+    # ------------------------------------------------------------------
+    # Membership changes (docs/overload.md, docs/share_tree.md)
+    # ------------------------------------------------------------------
     def submit_subject(
         self, subject: Subject, kapi: "KernelAPI", *, path: Optional[str] = None
     ) -> bool:
@@ -461,187 +302,52 @@ class AlpsAgent:
         With a share tree attached, ``path`` places the arrival in the
         tree and routes it through its subtree's *own* admission gate
         (nearest gated ancestor; docs/share_tree.md) instead of the
-        whole-group queue.
+        whole-group queue.  A sid already enforced, queued or shed
+        raises :class:`~repro.errors.SchedulerConfigError`.
         """
-        if path is not None:
-            if self._sharetree is None:
-                raise SchedulerConfigError(
-                    "submit_subject(path=...) requires an attached share tree"
-                )
-            return self._submit_tree_subject(subject, kapi, path)
-        guard = self._overload
-        if guard is None:
-            self._admit_subject(subject, kapi)
-            return True
-        admitted = guard.admission.submit(
-            subject, len(self.core.subjects), paused=guard.admission_paused
-        )
-        obs = self._obs
-        if admitted:
-            self._admit_subject(subject, kapi)
-            if obs is not None and obs.enabled:
-                obs.events.emit(kapi.now, "overload.admitted", sid=subject.sid)
-        elif obs is not None and obs.enabled:
-            obs.events.emit(
-                kapi.now, "overload.queued",
-                sid=subject.sid, depth=guard.admission.depth,
-            )
-        return admitted
+        return self.membership.submit(_AgentDriver(self, kapi), subject, path)
 
-    def _admit_subject(self, subject: Subject, kapi: "KernelAPI") -> bool:
-        """Add a subject to the enforced set; False if it died first."""
-        subject.refresh(kapi)
-        pids = subject.pids(kapi)
-        if not pids:
-            return False  # died before admission; nothing to enforce
-        sid = subject.sid
-        self.subjects[sid] = subject
-        if isinstance(subject, ProcessSubject):
-            self._proc_subjects.append(subject)
-        self.core.add_subject(sid, subject.share)
-        self._cumulative.setdefault(sid, 0)
-        for pid in pids:
-            self._set_baseline(kapi, pid)
-        return True
+    def release_subject(self, sid: int, kapi: "KernelAPI") -> Subject:
+        """Withdraw a subject from this agent (cell migration).
 
-    def _drain_admissions(self, kapi: "KernelAPI") -> float:
-        """Admit queued arrivals into spare capacity; returns CPU cost."""
-        guard = self._overload
-        ready = guard.admission.admit_ready(
-            len(self.core.subjects), paused=guard.admission_paused
-        )
-        if not ready:
-            return 0.0
-        npids = 0
-        obs = self._obs
-        for subject in ready:
-            if not self._admit_subject(subject, kapi):
-                continue
-            npids += len(subject.pids(kapi))
-            if obs is not None and obs.enabled:
-                obs.events.emit(kapi.now, "overload.admitted", sid=subject.sid)
-        if npids == 0:
-            return 0.0
-        self.reads += npids
-        return self.cfg.costs.measure_cost(npids)
-
-    def _apply_ladder(self, kapi: "KernelAPI", now: int, delta: int) -> float:
-        """Enact a ladder transition; returns the CPU cost of enactment."""
-        guard = self._overload
-        self.core.postpone_boost = guard.postpone_boost
-        obs = self._obs
-        if obs is not None and obs.enabled:
-            obs.events.emit(
-                now,
-                "overload.engage" if delta > 0 else "overload.relax",
-                rung=int(guard.rung),
-                slip_ewma_quanta=round(guard.slip.ewma_quanta, 3),
-            )
-        cost = 0.0
-        if delta > 0 and guard.rung >= Rung.SHED:
-            cost += self._shed_members(kapi, now)
-        elif delta < 0 and guard.rung < Rung.SHED and guard.shed_sids:
-            cost += self._readmit_shed(kapi, now)
-        return cost
-
-    def _shed_members(self, kapi: "KernelAPI", now: int) -> float:
-        """SHED rung: release the lowest-share tail to best-effort.
-
-        Shed subjects leave the enforced set entirely (core, liveness
-        sweep, measurement loop) and their stopped pids are resumed —
-        best-effort means the kernel schedules them, not us.
+        The control-plane half of rebalancing: the subject leaves the
+        enforced set, its stopped pids are resumed so it is never
+        wedged between cells, and the subject object is returned for
+        :meth:`adopt_subject` on the destination agent.
         """
-        guard = self._overload
-        quota = guard.shed_quota(len(self.core.subjects))
-        if quota <= 0:
-            return 0.0
-        shares = {sid: st.share for sid, st in self.core.subjects.items()}
-        cost = 0.0
-        obs = self._obs
-        for sid in guard.select_shed(shares, quota):
-            subj = self.subjects.pop(sid, None)
-            if subj is None:  # pragma: no cover - raced a reap
-                continue
-            if isinstance(subj, ProcessSubject):
-                self._proc_subjects.remove(subj)
+        membership = self.membership
+        subj = self.subjects.pop(sid, None)
+        if subj is None:
+            subj = membership.shed.pop(sid, None)
+            if subj is not None:
+                if membership.guard is not None:
+                    membership.guard.note_departed(sid)
+                return subj  # shed: already best-effort, nothing stopped
+            raise SchedulerConfigError(f"agent does not control sid {sid}")
+        if sid in self.core.subjects:
             self.core.remove_subject(sid)
-            self._shed_subjects[sid] = subj
-            guard.note_shed(sid)
-            # Resume-all for the tail: deliver immediately (the pending
-            # list belongs to the measurement phase) and pay for it.
-            for pid in subj.pids(kapi):
-                if pid in self._stopped_pids:
-                    try:
-                        kapi.kill(pid, SIGCONT)
-                        self.signals_sent += 1
-                    except NoSuchProcessError:
-                        pass
-                    cost += self._cost_signal_us
-                self._forget_pid(pid)
-            if obs is not None and obs.enabled:
-                obs.events.emit(now, "overload.shed", sid=sid)
-        return cost
+        _AgentDriver(self, kapi).resume(subj, 0.0)
+        self._cumulative.pop(sid, None)
+        return subj
 
-    def _readmit_shed(self, kapi: "KernelAPI", now: int) -> float:
-        """Walking back below SHED: return the shed tail to enforcement.
-
-        Best-effort consumption while shed is deliberately forgiven —
-        the baseline restarts at the current reading; the subject
-        rejoins with a full allowance like any other arrival.
-        """
-        guard = self._overload
-        cost = 0.0
-        npids = 0
-        obs = self._obs
-        for sid in list(guard.shed_sids):
-            subj = self._shed_subjects.pop(sid, None)
-            if subj is None:  # pragma: no cover - bookkeeping drift
-                guard.note_departed(sid)
-                continue
-            subj.refresh(kapi)
-            pids = subj.pids(kapi)
-            if not pids:
-                guard.note_departed(sid)
-                continue
-            self.subjects[sid] = subj
-            if isinstance(subj, ProcessSubject):
-                self._proc_subjects.append(subj)
-            self.core.add_subject(sid, subj.share)
-            self._cumulative.setdefault(sid, 0)
-            for pid in pids:
-                self._set_baseline(kapi, pid)
-                npids += 1
-            guard.note_readmitted(sid)
-            if obs is not None and obs.enabled:
-                obs.events.emit(now, "overload.readmit", sid=sid)
-        if npids:
-            self.reads += npids
-            cost += self.cfg.costs.measure_cost(npids)
-        return cost
+    def adopt_subject(self, subject: Subject, kapi: "KernelAPI") -> bool:
+        """Receive a migrating subject (already admitted in its old
+        cell, so admission control is deliberately bypassed)."""
+        if not self.membership.enforce(_AgentDriver(self, kapi), subject):
+            return False
+        self.membership.reweigh_from_tree()
+        return True
 
     def snapshot_state(self, now: int) -> dict:
         """JSON-safe snapshot of all state a restart must not lose."""
-        return {
-            "v": SNAPSHOT_VERSION,
-            "kind": "snapshot",
-            "t": now,
-            "core": core_snapshot(self.core),
-            "agent": {
-                "epoch": self._epoch,
-                "last_read": {
-                    str(pid): usage for pid, usage in sorted(self._last_read.items())
-                },
-                "stopped": sorted(self._stopped_pids),
-                "cumulative": {
-                    str(sid): total
-                    for sid, total in sorted(self._cumulative.items())
-                },
-                "debt": {
-                    str(sid): owed
-                    for sid, owed in sorted(self._deferred_debt.items())
-                },
-            },
-        }
+        return driver_snapshot(
+            self.core, now,
+            epoch=self._epoch,
+            last_read=self._last_read,
+            stopped=self._stopped_pids,
+            cumulative=self._cumulative,
+            debt=self._deferred_debt,
+        )
 
     def restart(self) -> None:
         """Simulate a crash-with-restart: wipe all volatile state.
@@ -665,7 +371,7 @@ class AlpsAgent:
         self._deferred_cost_us = 0.0
         #: Downtime must not read as kernel starvation: the cadence-slip
         #: baseline restarts with the agent.
-        self._last_wake_now = -1
+        self.membership.last_wake_us = None
         self.restarts += 1
         self.last_restart_journaled = False
         self._recovered = None
@@ -692,7 +398,7 @@ class AlpsAgent:
         """
         to_resume = set(self._stopped_pids)
         subjects = list(self.subjects.values())
-        subjects.extend(self._shed_subjects.values())
+        subjects.extend(self.membership.shed.values())
         for subj in subjects:
             for pid in subj.pids(kapi):
                 try:
@@ -751,31 +457,11 @@ class AlpsAgent:
         now = kapi.now
         cost = self._cost_timer_us + self._deferred_cost_us
         self._deferred_cost_us = 0.0
-        guard = self._overload
-        if guard is not None:
-            # Starvation detection: feed the wake's timer slip to the
-            # ladder.  Slip is *cadence* slip — the actual wake-to-wake
-            # gap minus the intended period — because a deprioritised
-            # agent shows up as servicing (Compute bursts) crawling
-            # between boundaries, not as late timer delivery (wakeups
-            # carry a priority boost).  Pure bookkeeping unless a rung
-            # actually changes or queued arrivals fit —
-            # schedule-invisible while idle.
-            prev = self._last_wake_now
-            self._last_wake_now = now
-            if prev >= 0:
-                delta = guard.observe_wake(
-                    now - prev - self._wake_cadence_us, self._quantum_us
-                )
-                if delta:
-                    cost += self._apply_ladder(kapi, now, delta)
-            if guard.admission.depth and not guard.admission_paused:
-                cost += self._drain_admissions(kapi)
-        tree = self._sharetree
-        # _gates first: ungated trees (the common flat-equivalent case)
-        # must not pay a generator sum on every wake.
-        if tree is not None and tree._gates and tree.pending_admissions:
-            cost += self._drain_tree_admissions(kapi)
+        membership = self.membership
+        if membership.guard is not None or membership.tree is not None:
+            cost = membership.on_wake(
+                _AgentDriver(self, kapi), now, self._wake_cadence_us, cost
+            )
         if now - self._sleep_target >= self._quantum_us:
             # At least one whole quantum overslept (the guard mirrors
             # _absorb_stall's own missed <= 0 early-out).
@@ -831,22 +517,10 @@ class AlpsAgent:
         """
         now = kapi.now  # no events fire inside next_action: read once
         self.sampling_delays_us.append(now - self._wake_boundary)
-        # Batched measurement fast path: only the resident backend's kapi
-        # (repro.kernel.resident.ResidentKernelAPI) advertises
-        # ``measure_many``.
-        # Fault wrappers deliberately do not forward it — the injector
-        # must see every individual read to keep its per-call RNG draw
-        # order — so faulted and classic kapis take the per-pid loop.
-        measure_many = getattr(kapi, "measure_many", None)
-        stopped_cache: Optional[dict[int, Optional[bool]]] = None
-        if measure_many is not None:
-            measurements, stopped_cache = self._measure_batched(measure_many)
-        else:
-            measurements = self._measure_classic(kapi)
-        decisions = self.core.complete_quantum(measurements)
+        decisions = self.core.complete_quantum(self._measure(kapi))
         if self.cfg.enforce_invariants:
             self.core.check_runtime_invariants()
-        self._pending_signals = self._signals_for(kapi, decisions, stopped_cache)
+        self._pending_signals = self._signals_for(kapi, decisions)
         obs = self._obs
         if obs is not None and obs.enabled:
             events = obs.events
@@ -880,14 +554,12 @@ class AlpsAgent:
         cost = self._cost_signal_us * len(self._pending_signals)
         return Compute(self._acc.charge(cost))
 
-    def _measure_classic(self, kapi: "KernelAPI") -> dict[int, tuple[int, bool]]:
-        """Per-pid measurement loop (the reference semantics).
+    def _measure(self, kapi: "KernelAPI") -> dict[int, tuple[int, bool]]:
+        """Per-pid measurement loop over the due subjects.
 
         One getrusage per due pid, the blocked vote short-circuited via
         ``is_blocked``, dead pids forgotten in iteration order,
-        transient failures retried.  :meth:`_measure_batched` must stay
-        behaviorally identical to this loop — the backend matrix pins
-        the resulting schedules byte-for-byte.
+        transient failures retried.
         """
         measurements: dict[int, tuple[int, bool]] = {}
         core_subjects = self.core.subjects
@@ -942,68 +614,6 @@ class AlpsAgent:
             # unpacks positionally so both are accepted.
             measurements[sid] = (consumed, blocked)
         return measurements
-
-    def _measure_batched(
-        self, measure_many
-    ) -> tuple[dict[int, tuple[int, bool]], dict[int, Optional[bool]]]:
-        """One-call measurement over every due pid (resident backend only).
-
-        Behaviorally identical to :meth:`_measure_classic`: same
-        per-pid readings (``measure_many`` reuses the getrusage
-        arithmetic), same dead-pid forgetting, same blocked vote per
-        subject.  Additionally returns a pid → stopped cache for the
-        wedge-healing pass: no events fire inside one agent activation,
-        so kernel state cannot change between the measurement and
-        :meth:`_signals_for` reading it — the cached values equal what
-        per-pid ``is_stopped`` calls would return.  ``None`` in the
-        cache marks a pid found dead (already forgotten here).
-        """
-        measurements: dict[int, tuple[int, bool]] = {}
-        stopped_cache: dict[int, Optional[bool]] = {}
-        core_subjects = self.core.subjects
-        last_read = self._last_read
-        cumulative = self._cumulative
-        deferred = self._deferred_debt
-        track_io = self.cfg.track_io
-        due = [(sid, pids) for sid, pids in self._due if sid in core_subjects]
-        readings: dict[int, tuple[int, bool]] = {}
-        all_pids = [pid for _, pids in due for pid in pids]
-        for pid, usage, blk, stopped in measure_many(all_pids):
-            if usage is None:
-                self._forget_pid(pid)
-                stopped_cache[pid] = None
-            else:
-                readings[pid] = (usage, blk)
-                stopped_cache[pid] = stopped
-        for sid, pids in due:
-            consumed = 0
-            live = 0
-            blocked = track_io
-            for pid in pids:
-                reading = readings.get(pid)
-                if reading is None:
-                    continue  # dead; forgotten above
-                usage, blk = reading
-                live += 1
-                delta = usage - last_read.get(pid, usage)
-                if delta < 0:
-                    self.anomalies += 1
-                    delta = 0
-                consumed += delta
-                last_read[pid] = usage
-                if blocked and not blk:
-                    blocked = False
-            blocked = blocked and live > 0
-            cumulative[sid] = cumulative.get(sid, 0) + consumed
-            if deferred:
-                st = core_subjects.get(sid)
-                if st is not None:
-                    consumed += drain_debt(
-                        deferred, sid, st.share,
-                        self.core.quantum_us, self.core.total_shares,
-                    )
-            measurements[sid] = (consumed, blocked)
-        return measurements, stopped_cache
 
     def _do_deliver(self, kapi: "KernelAPI") -> Action:
         """Signal CPU spent: deliver the queued signals, verify, retry."""
@@ -1072,18 +682,10 @@ class AlpsAgent:
             if payload is None:
                 raise JournalCorruptError("recovery payload missing")
             ag = payload.get("agent", {})
-            last_read = {
-                int(pid): int(usage)
-                for pid, usage in ag.get("last_read", {}).items()
-            }
-            cumulative = {
-                int(sid): int(total)
-                for sid, total in ag.get("cumulative", {}).items()
-            }
+            last_read = snapshot_map(ag, "last_read")
+            cumulative = snapshot_map(ag, "cumulative")
             deferred = {
-                int(sid): int(owed)
-                for sid, owed in ag.get("debt", {}).items()
-                if int(owed) > 0
+                sid: owed for sid, owed in snapshot_map(ag, "debt").items() if owed > 0
             }
             epoch = int(ag.get("epoch", self._epoch))
             restore_core(self.core, payload["core"])
@@ -1173,7 +775,7 @@ class AlpsAgent:
 
     def _sleep_until_boundary(self, now: int) -> Sleep:
         duration = self._until_next_boundary(now)
-        guard = self._overload
+        guard = self.membership.guard
         if guard is not None:
             # STRETCH and above: skip ahead extra boundaries so the
             # agent wakes every stretch × Q.  The epoch-aligned grid is
@@ -1242,10 +844,7 @@ class AlpsAgent:
         # eligibility transition gets another chance.
 
     def _signals_for(
-        self,
-        kapi: "KernelAPI",
-        decisions: QuantumDecisions,
-        stopped_cache: Optional[dict[int, Optional[bool]]] = None,
+        self, kapi: "KernelAPI", decisions: QuantumDecisions
     ) -> list[tuple[int, int]]:
         signals: list[tuple[int, int]] = []
         to_suspend = decisions.to_suspend
@@ -1276,17 +875,6 @@ class AlpsAgent:
             if st is None or st.state is not eligible or sid in suspend:
                 continue
             for pid in pids:
-                if stopped_cache is not None:
-                    # Batched path: stopped-ness was read in the same
-                    # activation (no intervening events, so it cannot
-                    # have changed); None marks a pid found dead and
-                    # already forgotten during measurement.
-                    stopped = stopped_cache.get(pid)
-                    if stopped:
-                        signals.append((pid, SIGCONT))
-                        self._stopped_pids.add(pid)  # make delivery resume it
-                        self.heals += 1
-                    continue
                 try:
                     if is_stopped(pid):
                         signals.append((pid, SIGCONT))
@@ -1360,22 +948,9 @@ class AlpsAgent:
         if dead is None:
             return
         for subj in dead:
-            sid = subj.sid
-            if sid in self.core.subjects:
-                self.core.remove_subject(sid)
             self._forget_pid(subj.pid)
-            del self.subjects[sid]
         self._proc_subjects = [s for s in self._proc_subjects if s._alive]
-        tree = self._sharetree
-        if tree is not None:
-            # A dead leaf leaves the tree; its siblings' fractions grow
-            # recursively (flat-equivalent trees resolve to the same raw
-            # weights, so the reweigh no-ops there).
-            changed = False
-            for subj in dead:
-                changed |= tree.discard_sid(subj.sid)
-            if changed:
-                self.reweigh_from_tree()
+        self.membership.drop([subj.sid for subj in dead])
 
     def _forget_pid(self, pid: int) -> None:
         """Remove every per-pid record (death or departure cleanup)."""
@@ -1418,6 +993,61 @@ class AlpsAgent:
             self._forget_pid(pid)
         except TransientReadError:
             self._last_read.pop(pid, None)
+
+
+class _AgentDriver:
+    """The agent's half of :class:`~repro.alps.membership.MembershipDriver`,
+    bound to the kapi of the call that changes membership."""
+
+    __slots__ = ("agent", "kapi")
+
+    def __init__(self, agent: AlpsAgent, kapi: "KernelAPI") -> None:
+        self.agent = agent
+        self.kapi = kapi
+
+    def admit(self, subject: Subject) -> int:
+        """Refresh the subject and set its pids' read baselines."""
+        agent = self.agent
+        kapi = self.kapi
+        subject.refresh(kapi)
+        pids = subject.pids(kapi)
+        if not pids:
+            return 0  # died before admission; nothing to enforce
+        if isinstance(subject, ProcessSubject):
+            agent._proc_subjects.append(subject)
+        agent._cumulative.setdefault(subject.sid, 0)
+        for pid in pids:
+            agent._set_baseline(kapi, pid)
+        return len(pids)
+
+    def resume(self, subject: Subject, cost: float) -> float:
+        """Take the subject out of the liveness sweep and SIGCONT its
+        stopped pids now (the pending list belongs to the measurement
+        phase), paying for each signal."""
+        agent = self.agent
+        kapi = self.kapi
+        if isinstance(subject, ProcessSubject):
+            agent._proc_subjects.remove(subject)
+        for pid in subject.pids(kapi):
+            if pid in agent._stopped_pids:
+                try:
+                    kapi.kill(pid, SIGCONT)
+                    agent.signals_sent += 1
+                except NoSuchProcessError:
+                    pass
+                cost += agent._cost_signal_us
+            agent._forget_pid(pid)
+        return cost
+
+    def read_cost(self, npids: int) -> float:
+        agent = self.agent
+        agent.reads += npids
+        return agent.cfg.costs.measure_cost(npids)
+
+    def emit(self, kind: str, **fields) -> None:
+        obs = self.agent._obs
+        if obs is not None and obs.enabled:
+            obs.events.emit(self.kapi.now, kind, **fields)
 
 
 def spawn_alps(

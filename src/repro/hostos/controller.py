@@ -1,9 +1,10 @@
 """A real user-level ALPS controller for Linux.
 
-Drives the same :class:`~repro.alps.algorithm.AlpsCore` as the
-simulator, but against live processes: progress comes from
-``/proc/<pid>/stat``, eligibility is enacted with SIGSTOP/SIGCONT, and
-the quantum timer is an absolute-deadline sleep loop.
+Drives the same :class:`~repro.alps.algorithm.AlpsCore` and the same
+:class:`~repro.alps.membership.Membership` policy as the simulator, but
+against live processes: progress comes from ``/proc/<pid>/stat``,
+eligibility is enacted with SIGSTOP/SIGCONT, and the quantum timer is
+an absolute-deadline sleep loop.
 """
 
 from __future__ import annotations
@@ -16,19 +17,16 @@ from typing import TYPE_CHECKING, Mapping, Optional
 
 from repro.alps.algorithm import AlpsCore, Measurement
 from repro.alps.instrumentation import CycleLog
-from repro.errors import (
-    HostOSError,
-    JournalCorruptError,
-    SchedulerConfigError,
-)
+from repro.alps.membership import Membership
+from repro.alps.subjects import ProcessSubject
+from repro.errors import HostOSError, JournalCorruptError
 from repro.hostos import procfs
-from repro.overload.ladder import Rung
 from repro.resilience.journal import (
-    SNAPSHOT_VERSION,
-    core_snapshot,
     drain_debt,
+    driver_snapshot,
     restore_core,
     schedule_debt,
+    snapshot_map,
     validate_snapshot,
 )
 
@@ -36,7 +34,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.obs.observer import Observer
     from repro.overload.guard import OverloadGuard
     from repro.resilience.journal import FileJournal
-    from repro.sharetree.tree import ShareNode, ShareTree
+    from repro.sharetree.tree import ShareTree
 
 
 @dataclass(slots=True)
@@ -83,6 +81,11 @@ class HostAlps:
     resumes by *kernel truth* (any controlled pid in procfs state
     ``T``), not just the controller's own stop-set, so a crash between
     a SIGSTOP and its bookkeeping cannot wedge a process.
+
+    Membership changes (admission, share-tree gates, shed and readmit)
+    run the shared :class:`~repro.alps.membership.Membership` policy;
+    this class is its driver, with one
+    :class:`~repro.alps.subjects.ProcessSubject` per pid (sid = pid).
     """
 
     def __init__(
@@ -121,6 +124,16 @@ class HostAlps:
             optimized=optimized,
             now_fn=lambda: int(time.monotonic() * 1_000_000),
         )
+        #: Enforced pids (sid = pid), kept in step with the core.
+        self.subjects: dict[int, ProcessSubject] = {
+            pid: ProcessSubject(pid, share, pid) for pid, share in shares.items()
+        }
+        #: Admission, share-tree and shed policy, shared with the sim
+        #: agent.  The guard's state is volatile by design: after a
+        #: journaled restart protection re-engages from fresh slip
+        #: evidence rather than replaying the pre-crash ladder position.
+        self.membership = Membership(self.core, self.subjects, error=HostOSError)
+        self.membership.guard = overload
         self._last_read: dict[int, int] = {}
         self._stopped: set[int] = set()
         self._initial: dict[int, int] = {}
@@ -136,21 +149,19 @@ class HostAlps:
         self.recovered = False
         #: Downtime CPU debt (µs) per pid awaiting amortized repayment.
         self._deferred_debt: dict[int, int] = {}
-        #: Overload protection (docs/overload.md).  The guard's state is
-        #: volatile by design: after a journaled restart protection
-        #: re-engages from fresh slip evidence rather than replaying the
-        #: pre-crash ladder position.
-        self.overload = overload
-        #: Shares of pids currently shed to best-effort (pid -> share).
-        self._shed_shares: dict[int, int] = {}
-        self._prev_wake_us: Optional[int] = None
         self._wake_cadence_us = self.quantum_us
-        #: Hierarchical share tree (docs/share_tree.md); leaf sids are
-        #: pids on the host.  A flat-equivalent tree resolves to the raw
-        #: shares verbatim, so attaching it changes nothing.
-        self.sharetree = sharetree
         if sharetree is not None:
-            self.reweigh_from_tree()
+            self.membership.attach_tree(sharetree)
+
+    @property
+    def overload(self) -> Optional["OverloadGuard"]:
+        """The attached overload guard, if any."""
+        return self.membership.guard
+
+    @property
+    def sharetree(self) -> Optional["ShareTree"]:
+        """The attached share tree, if any (leaf sids are pids)."""
+        return self.membership.tree
 
     # ------------------------------------------------------------------
     def run(self, duration_s: float) -> HostAlpsReport:
@@ -167,13 +178,8 @@ class HostAlps:
                 # (capped) at restore time, and _initial keeps lifetime
                 # consumption accounting spanning the crash.
                 continue
-            try:
-                usage = procfs.cpu_time_us(pid)
-            except HostOSError:
-                self.core.remove_subject(pid)
-                continue
-            self._last_read[pid] = usage
-            self._initial[pid] = usage
+            if not self.admit(self.subjects[pid]):
+                self._drop_subject(pid)  # died before control began
         deadline = t_start + duration_s
         boundary = t_start + self.quantum_us / 1_000_000
         try:
@@ -185,32 +191,10 @@ class HostAlps:
                     time.sleep(boundary - now)
                 # Skip past any boundaries we overslept.
                 now = time.monotonic()
+                self.membership.on_wake(
+                    self, int(now * 1_000_000), self._wake_cadence_us
+                )
                 guard = self.overload
-                if guard is not None:
-                    # Cadence slip: the gap between consecutive wakes
-                    # minus the stride we intended when we went to sleep.
-                    # Wake *dispatch* is usually prompt even under load;
-                    # starvation shows as the whole loop iteration (reads,
-                    # signals, the sleep) taking longer than the stride.
-                    now_us = int(now * 1_000_000)
-                    prev = self._prev_wake_us
-                    self._prev_wake_us = now_us
-                    if prev is not None:
-                        delta = guard.observe_wake(
-                            now_us - prev - self._wake_cadence_us,
-                            self.quantum_us,
-                        )
-                        if delta:
-                            self._apply_ladder(delta)
-                    if guard.admission.depth and not guard.admission_paused:
-                        self._drain_admissions()
-                tree = self.sharetree
-                if (
-                    tree is not None
-                    and tree._gates
-                    and tree.pending_admissions
-                ):
-                    self._drain_tree_admissions()
                 q_s = self.quantum_us / 1_000_000
                 stride_s = q_s
                 if guard is not None:
@@ -280,7 +264,7 @@ class HostAlps:
             self._signal(pid, signal.SIGCONT)
 
     # ------------------------------------------------------------------
-    # Overload protection (docs/overload.md)
+    # Membership (docs/overload.md, docs/share_tree.md)
     # ------------------------------------------------------------------
     def submit_pid(
         self, pid: int, share: int, *, path: Optional[str] = None
@@ -295,192 +279,44 @@ class HostAlps:
         With a share tree attached, ``path`` places the arrival in the
         tree and routes it through its subtree's *own* admission gate
         (nearest gated ancestor; docs/share_tree.md) instead of the
-        whole-group queue — the same composition as the sim agent's
-        ``submit_subject(path=...)``.
+        whole-group queue — the same policy as the sim agent's
+        ``submit_subject(path=...)``.  A pid already enforced, queued
+        or shed raises :class:`~repro.errors.HostOSError`.
         """
         if share < 1:
             raise HostOSError(f"share must be >= 1, got {share}")
-        if path is not None:
-            if self.sharetree is None:
-                raise HostOSError(
-                    "submit_pid(path=...) requires an attached share tree"
-                )
-            return self._submit_tree_pid(pid, share, path)
-        guard = self.overload
-        if guard is None:
-            return self._admit_pid(pid, share)
-        admitted = guard.admission.submit(
-            (pid, share), len(self.core.subjects), paused=guard.admission_paused
-        )
-        if admitted:
-            self._admit_pid(pid, share)
-            self._emit_overload("overload.admitted", pid=pid)
-        else:
-            self._emit_overload(
-                "overload.queued", pid=pid, depth=guard.admission.depth
-            )
-        return admitted
-
-    def _admit_pid(self, pid: int, share: int) -> bool:
-        """Add a live pid to the enforced set; False if it is gone."""
-        try:
-            usage = procfs.cpu_time_us(pid)
-        except HostOSError:
-            return False
-        self.core.add_subject(pid, share)
-        self._last_read[pid] = usage
-        self._initial.setdefault(pid, usage)
-        return True
-
-    def _drain_admissions(self) -> None:
-        """Admit queued arrivals into spare capacity."""
-        guard = self.overload
-        ready = guard.admission.admit_ready(
-            len(self.core.subjects), paused=guard.admission_paused
-        )
-        for pid, share in ready:
-            if self._admit_pid(pid, share):
-                self._emit_overload("overload.admitted", pid=pid)
-
-    # ------------------------------------------------------------------
-    # Hierarchical share tree (docs/share_tree.md)
-    # ------------------------------------------------------------------
-    def reweigh_from_tree(self) -> None:
-        """Re-apply the tree's effective shares to the core.
-
-        ``AlpsCore.set_share`` early-outs on a zero delta, so this is
-        free whenever the resolved shares already match — the
-        flat-equivalence case.
-        """
-        tree = self.sharetree
-        if tree is None:
-            return
-        core_subjects = self.core.subjects
-        for pid, share in tree.effective_shares().items():
-            if pid in core_subjects:
-                self.core.set_share(pid, share)
+        return self.membership.submit(self, ProcessSubject(pid, share, pid), path)
 
     def set_tree_weight(self, path: str, weight: int) -> None:
         """Reweight a tree node; every descendant leaf follows."""
-        tree = self.sharetree
-        if tree is None:
-            raise HostOSError("no share tree attached")
-        tree.set_weight(path, weight)
-        self.reweigh_from_tree()
+        self.membership.set_tree_weight(path, weight)
 
-    def _active_leaves_under(self, gate: "ShareNode") -> int:
-        """Admitted members of a gated subtree (its enforced count)."""
-        tree = self.sharetree
-        assert tree is not None
-        core_subjects = self.core.subjects
-        return sum(
-            1 for leaf in tree.leaves(gate) if leaf.sid in core_subjects
-        )
+    # -- the MembershipDriver protocol ----------------------------------
+    def admit(self, entry: ProcessSubject) -> int:
+        """Read the pid's baseline from procfs; 0 if it is gone."""
+        pid = entry.pid
+        try:
+            usage = procfs.cpu_time_us(pid)
+        except HostOSError:
+            return 0
+        self._last_read[pid] = usage
+        self._initial.setdefault(pid, usage)
+        return 1
 
-    def _submit_tree_pid(self, pid: int, share: int, path: str) -> bool:
-        """Route an arrival through its subtree's admission gate.
+    def resume(self, entry: ProcessSubject, cost: float) -> float:
+        """Best-effort means the kernel schedules it, not us."""
+        pid = entry.pid
+        if pid in self._stopped and self._resume_one(pid):
+            self._stopped.discard(pid)
+        return cost
 
-        The leaf is only created in the tree once admitted — a queued
-        arrival must not dilute its siblings' effective shares while
-        it waits.  Queue entries are ``(pid, share, path)`` triples.
-        """
-        tree = self.sharetree
-        assert tree is not None
-        parent = tree.node(path.rpartition("/")[0])
-        gate = tree.admission_for(parent)
-        if gate is not None:
-            assert gate.admission is not None
-            admitted = gate.admission.submit(
-                (pid, share, path), self._active_leaves_under(gate)
-            )
-            if not admitted:
-                self._emit_overload(
-                    "sharetree.queued", pid=pid, path=path,
-                    depth=gate.admission.depth,
-                )
-                return False
-        tree.leaf(path, sid=pid, weight=share)
-        if not self._admit_pid(pid, share):
-            tree.remove(path)  # died before admission
-            return False
-        self.reweigh_from_tree()
-        self._emit_overload("sharetree.admitted", pid=pid, path=path)
-        return True
+    def read_cost(self, npids: int) -> float:
+        return 0.0  # real reads cost real time, not a modelled charge
 
-    def _drain_tree_admissions(self) -> None:
-        """Admit queued subtree arrivals into spare capacity (per gate)."""
-        tree = self.sharetree
-        assert tree is not None
-        admitted_any = False
-        for gate in tree.gates():
-            queue = gate.admission
-            if queue is None or not queue.depth:
-                continue
-            for pid, share, path in queue.admit_ready(
-                self._active_leaves_under(gate)
-            ):
-                try:
-                    tree.leaf(path, sid=pid, weight=share)
-                except SchedulerConfigError:
-                    continue  # its branch vanished while it waited
-                if not self._admit_pid(pid, share):
-                    tree.remove(path)
-                    continue
-                admitted_any = True
-                self._emit_overload("sharetree.admitted", pid=pid, path=path)
-        if admitted_any:
-            self.reweigh_from_tree()
-
-    def _apply_ladder(self, delta: int) -> None:
-        """Enact a ladder transition (same order as the sim agent)."""
-        guard = self.overload
-        self.core.postpone_boost = guard.postpone_boost
-        self._emit_overload(
-            "overload.engage" if delta > 0 else "overload.relax",
-            rung=int(guard.rung),
-            slip_ewma_quanta=round(guard.slip.ewma_quanta, 3),
-        )
-        if delta > 0 and guard.rung >= Rung.SHED:
-            self._shed_members()
-        elif delta < 0 and guard.rung < Rung.SHED and guard.shed_sids:
-            self._readmit_shed()
-
-    def _shed_members(self) -> None:
-        """SHED rung: release the lowest-share tail to best-effort."""
-        guard = self.overload
-        quota = guard.shed_quota(len(self.core.subjects))
-        if quota <= 0:
-            return
-        shares = {pid: st.share for pid, st in self.core.subjects.items()}
-        for pid in guard.select_shed(shares, quota):
-            state = self.core.remove_subject(pid)
-            self._shed_shares[pid] = state.share
-            guard.note_shed(pid)
-            # Best-effort means the kernel schedules it, not us.
-            if pid in self._stopped and self._resume_one(pid):
-                self._stopped.discard(pid)
-            self._emit_overload("overload.shed", pid=pid)
-
-    def _readmit_shed(self) -> None:
-        """Walking back below SHED: return the shed tail to enforcement.
-
-        Best-effort consumption while shed is deliberately forgiven —
-        the read baseline restarts at the current procfs value and the
-        pid rejoins with a full allowance like any other arrival.
-        """
-        guard = self.overload
-        for pid in list(guard.shed_sids):
-            share = self._shed_shares.pop(pid, None)
-            if share is None or not self._admit_pid(pid, share):
-                guard.note_departed(pid)
-                continue
-            guard.note_readmitted(pid)
-            self._emit_overload("overload.readmit", pid=pid)
-
-    def _emit_overload(self, name: str, **fields) -> None:
+    def emit(self, kind: str, **fields) -> None:
         obs = self.observer
         if obs is not None and obs.enabled:
-            obs.events.emit(int(time.monotonic() * 1_000_000), name, **fields)
+            obs.events.emit(int(time.monotonic() * 1_000_000), kind, **fields)
 
     def _read_stat_with_retry(self, pid: int):
         """Read ``/proc/<pid>/stat``, retrying transient failures.
@@ -501,12 +337,8 @@ class HostAlps:
 
     def _drop_subject(self, pid: int) -> None:
         """Stop scheduling ``pid`` (death or EPERM)."""
-        if pid in self.core.subjects:
-            self.core.remove_subject(pid)
+        self.membership.drop([pid])
         self._stopped.discard(pid)
-        tree = self.sharetree
-        if tree is not None and tree.discard_sid(pid):
-            self.reweigh_from_tree()
 
     def _signal(self, pid: int, signo: int) -> None:
         try:
@@ -571,14 +403,10 @@ class HostAlps:
                     time.sleep(delay_s)
                     delay_s = min(delay_s * 2, 0.05)
         self.resume_failures += 1
-        obs = self.observer
-        if obs is not None and obs.enabled:
-            obs.events.emit(
-                int(time.monotonic() * 1_000_000),
-                "hostalps.resume_failed",
-                pid=pid,
-                attempts=self.resume_retry_budget + 1,
-            )
+        self.emit(
+            "hostalps.resume_failed",
+            pid=pid, attempts=self.resume_retry_budget + 1,
+        )
         return False
 
     # ------------------------------------------------------------------
@@ -586,25 +414,13 @@ class HostAlps:
     # ------------------------------------------------------------------
     def snapshot_state(self) -> dict:
         """JSON-safe snapshot of everything a restarted controller needs."""
-        return {
-            "v": SNAPSHOT_VERSION,
-            "kind": "snapshot",
-            "t": int(time.monotonic() * 1_000_000),
-            "core": core_snapshot(self.core),
-            "agent": {
-                "last_read": {
-                    str(pid): usage for pid, usage in sorted(self._last_read.items())
-                },
-                "initial": {
-                    str(pid): usage for pid, usage in sorted(self._initial.items())
-                },
-                "stopped": sorted(self._stopped),
-                "debt": {
-                    str(pid): owed
-                    for pid, owed in sorted(self._deferred_debt.items())
-                },
-            },
-        }
+        return driver_snapshot(
+            self.core, int(time.monotonic() * 1_000_000),
+            last_read=self._last_read,
+            initial=self._initial,
+            stopped=self._stopped,
+            debt=self._deferred_debt,
+        )
 
     def restore_from_journal(self) -> bool:
         """Replay the attached journal's latest snapshot, if usable.
@@ -630,19 +446,11 @@ class HostAlps:
                 return False
             payload = validate_snapshot(rec.snapshot)
             ag = payload.get("agent", {})
-            last_read = {
-                int(pid): int(usage)
-                for pid, usage in ag.get("last_read", {}).items()
-            }
-            initial = {
-                int(pid): int(usage)
-                for pid, usage in ag.get("initial", {}).items()
-            }
+            last_read = snapshot_map(ag, "last_read")
+            initial = snapshot_map(ag, "initial")
             stopped = {int(pid) for pid in ag.get("stopped", [])}
             deferred = {
-                int(pid): int(owed)
-                for pid, owed in ag.get("debt", {}).items()
-                if int(owed) > 0
+                pid: owed for pid, owed in snapshot_map(ag, "debt").items() if owed > 0
             }
             restore_core(self.core, payload["core"])
         except (JournalCorruptError, TypeError, ValueError, KeyError):
@@ -650,6 +458,11 @@ class HostAlps:
         self._last_read = {}
         self._initial = initial
         self._stopped = stopped
+        self.subjects.clear()
+        self.subjects.update(
+            (pid, ProcessSubject(pid, st.share, pid))
+            for pid, st in self.core.subjects.items()
+        )
         debts: dict[int, int] = {}
         for pid in list(self.core.subjects):
             try:
@@ -666,13 +479,10 @@ class HostAlps:
         self._deferred_debt = deferred
         self._stopped = {pid for pid in self._stopped if procfs.is_alive(pid)}
         self.recovered = True
-        obs = self.observer
-        if obs is not None and obs.enabled:
-            obs.events.emit(
-                int(time.monotonic() * 1_000_000),
-                "hostalps.recovered",
-                subjects=len(self.core.subjects),
-                records=rec.records,
-                debt_us=debt_us,
-            )
+        self.emit(
+            "hostalps.recovered",
+            subjects=len(self.core.subjects),
+            records=rec.records,
+            debt_us=debt_us,
+        )
         return True

@@ -10,9 +10,6 @@ views — properties reading and writing their row — so:
 
 * the per-``schedcpu`` decay pass masks, decays, and writes back *in
   place* over the whole process table, with no per-process Python work;
-* :meth:`ResidentKernel.measure_many` answers the agent's whole
-  per-quantum read set with fancy-indexed array reads instead of a
-  per-pid Python loop;
 * run-queue membership is mirrored into a boolean column
   (:class:`_RunqMembership`) as it changes, so the decay pass needs no
   membership set lookups at all.
@@ -49,13 +46,12 @@ See docs/performance.md ("The resident backend") for measurements.
 from __future__ import annotations
 
 from array import array
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
 from repro.errors import KernelError, SimulationError
 from repro.kernel.actions import Action, Compute, Exit, Sleep, SleepOn
-from repro.kernel.kapi import KernelAPI
 from repro.kernel.kconfig import DEFAULT_CONFIG, KernelConfig
 from repro.kernel.kernel import (
     _EVPRI_BURST,
@@ -103,7 +99,6 @@ _COLUMNS: dict[str, tuple[str, type]] = {
     "pending_burst": ("q", np.int64),
     "state": ("q", np.int64),
     "stopped": ("b", np.bool_),
-    "has_channel": ("b", np.bool_),
     "boost": ("q", np.int64),
     "on_runq": ("b", np.bool_),
 }
@@ -155,8 +150,7 @@ class ResidentStore:
 
     Columns are ``array.array`` buffers (see the module docstring for
     why) mirroring the scheduler-owned fields of :class:`Process`;
-    ``wait_channel`` (a string or None) lives in a plain list with a
-    ``has_channel`` mirror so blocked-detection stays vectorizable.
+    ``wait_channel`` (a string or None) lives in a plain list.
     Buffers grow by doubling, which *replaces* them — numpy views from
     :meth:`np_view` must therefore be taken fresh per pass, never
     cached across an allocation.
@@ -379,10 +373,7 @@ class ResidentProcess(Process):
 
     @wait_channel.setter
     def wait_channel(self, value: Optional[str]) -> None:
-        store = self._store
-        row = self._row
-        store.wait_channel[row] = value
-        store.has_channel[row] = 0 if value is None else 1
+        self._store.wait_channel[self._row] = value
 
 
 class ResidentRunQueue:
@@ -521,29 +512,6 @@ class _RunqMembership(set):
             store.on_runq[row] = 0
 
 
-class ResidentKernelAPI(KernelAPI):
-    """Kernel API surface that additionally offers batched reads.
-
-    The agent feature-tests ``measure_many`` with ``getattr``: only
-    this class (and deliberate test fakes) expose it.  It delegates to
-    the kernel's vectorized implementation — one fancy-indexed pass per
-    quantum instead of three kapi round-trips per pid.  Fault-injection
-    wrappers (:class:`repro.faults.injector.FaultyKernelAPI`) do *not*
-    forward it, so a faulted agent always walks the classic per-pid
-    loop and the injector sees every read in the original order
-    (pinned by tests/kernel/test_resident_view.py).
-    """
-
-    __slots__ = ()
-
-    def measure_many(
-        self, pids: Sequence[int]
-    ) -> list[tuple[int, Optional[int], bool, bool]]:
-        """Batched READ-PROGRESS: ``(pid, usage, blocked, stopped)`` rows
-        (see :meth:`ResidentKernel.measure_many`)."""
-        return self._kernel.measure_many(pids)
-
-
 class ResidentKernel(Kernel):
     """Array-resident struct-of-arrays kernel (``backend="resident"``)."""
 
@@ -558,7 +526,6 @@ class ResidentKernel(Kernel):
         # Replace the plain pid set installed by Kernel.__init__ with
         # the mirroring set (empty at this point; no process exists yet).
         self._on_runq = _RunqMembership(self.store)
-        self.kapi = ResidentKernelAPI(self)
 
     # ------------------------------------------------------------------
     # Row-direct scalar hot paths
@@ -601,7 +568,6 @@ class ResidentKernel(Kernel):
         store.priority[row] = pri
         store.state[row] = _SLEEPING_CODE  # embryonic until started
         store.wait_channel[row] = "fork"
-        store.has_channel[row] = 1
         proc.tag_burst = f"burst:{name}"
         proc.tag_wake = f"wake:{name}"
         self.procs[pid] = proc
@@ -625,7 +591,6 @@ class ResidentKernel(Kernel):
         if store.state[row] == _ZOMBIE_CODE:
             return
         store.wait_channel[row] = None
-        store.has_channel[row] = 0
         store.state[row] = 0  # STATE_CODES[RUNNABLE]
         # Inlined _advance_guarded(proc, False): the guarded trampoline
         # owns resched deferral, so the guard dance stays intact.
@@ -983,54 +948,6 @@ class ResidentKernel(Kernel):
             priority=_EVPRI_HOUSEKEEPING,
             tag="roundrobin",
         )
-
-    # ------------------------------------------------------------------
-    # Vectorized measurement (no per-pid loop)
-    # ------------------------------------------------------------------
-    def measure_many(
-        self, pids: Sequence[int]
-    ) -> list[tuple[int, Optional[int], bool, bool]]:
-        """Fancy-indexed READ-PROGRESS over the resident arrays.
-
-        Behaviorally identical to the per-pid kapi calls
-        (``getrusage`` / ``is_blocked`` / ``is_stopped``): same usage
-        arithmetic including the in-flight run interval, dead pids
-        reported as ``usage=None`` (with blocked and stopped False)
-        instead of raising.  Row order follows ``pids``.
-        ``.tolist()`` materialises plain Python ints/bools so numpy
-        scalars never reach the agent's cycle log.
-        """
-        store = self.store
-        count = len(pids)
-        if count == 0 or store.n == 0:
-            return [(pid, None, False, False) for pid in pids]
-        slot_of = store.slot_of
-        rows = np.fromiter(
-            (slot_of.get(pid, -1) for pid in pids), dtype=np.int64, count=count
-        )
-        safe = np.where(rows >= 0, rows, 0)
-        state = store.np_view("state")[safe]
-        alive = (rows >= 0) & (state != _ZOMBIE_CODE)
-        cpu = store.np_view("cpu_time")[safe]
-        now = self._clock._now
-        inflight = now - store.np_view("run_start")[safe]
-        charge = (state == _RUNNING_CODE) & (inflight > 0)
-        usage = np.where(charge, cpu + inflight, cpu).tolist()
-        blocked = (
-            alive
-            & (state == _SLEEPING_CODE)
-            & store.np_view("has_channel")[safe]
-        ).tolist()
-        stopped = (alive & store.np_view("stopped")[safe]).tolist()
-        alive_list = alive.tolist()
-        out: list[tuple[int, Optional[int], bool, bool]] = []
-        append = out.append
-        for i, pid in enumerate(pids):
-            if alive_list[i]:
-                append((pid, usage[i], blocked[i], stopped[i]))
-            else:
-                append((pid, None, False, False))
-        return out
 
     # ------------------------------------------------------------------
     # In-place vectorized per-second decay (no gather, no scatter)

@@ -140,9 +140,9 @@ def fingerprint_run(
 
     ``fault_plan`` runs the workload under deterministic fault
     injection.  Faulted runs are *not* expected to match clean runs;
-    they must match each other across backends — the injector wraps the
-    kapi, hiding the batched-measurement surface, so both backends
-    replays the identical per-call fault RNG draw sequence.  The
+    they must match each other across backends — the agent reads every
+    pid through the injector's kapi, so both backends replay the
+    identical per-call fault RNG draw sequence.  The
     injector's realized fault trace is appended to the fingerprint's
     trace bytes so a divergence in fault realization fails the
     comparison even if the schedule happens to agree.

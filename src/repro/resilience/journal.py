@@ -377,6 +377,33 @@ def core_snapshot(core: "AlpsCore") -> dict:
     }
 
 
+def driver_snapshot(core: "AlpsCore", t: int, **state: Any) -> dict:
+    """One snapshot record: the core plus a driver's own ``state``.
+
+    Maps are written with sorted string keys (JSON object keys) and
+    sets as sorted lists; other values verbatim.
+    """
+    agent: dict[str, Any] = {}
+    for name, value in state.items():
+        if isinstance(value, dict):
+            value = {str(key): v for key, v in sorted(value.items())}
+        elif isinstance(value, set):
+            value = sorted(value)
+        agent[name] = value
+    return {
+        "v": SNAPSHOT_VERSION,
+        "kind": "snapshot",
+        "t": t,
+        "core": core_snapshot(core),
+        "agent": agent,
+    }
+
+
+def snapshot_map(state: Mapping[str, Any], name: str) -> dict[int, int]:
+    """Decode one integer map written by :func:`driver_snapshot`."""
+    return {int(key): int(value) for key, value in state.get(name, {}).items()}
+
+
 def restore_core(core: "AlpsCore", snap: Mapping[str, Any]) -> None:
     """Restore ``core`` to a :func:`core_snapshot` state, in place.
 

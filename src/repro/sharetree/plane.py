@@ -220,7 +220,7 @@ class ShardedAlpsPlane:
         """Reweight a tree node, reweigh every cell, and rebalance."""
         self.tree.set_weight(path, weight)
         for agent in self.agents.values():
-            agent.reweigh_from_tree()
+            agent.membership.reweigh_from_tree()
         self._emit("sharetree.reweigh", path=path, weight=weight)
         self.rebalance()
 

@@ -15,11 +15,8 @@ directly.  The whole backend rests on two claims, pinned here:
   :meth:`ResidentProcess.attach` bypasses the dataclass ``__init__``
   and relies on the zeroed row for the array-backed defaults.
 
-Plus the fault-injection seam: :class:`~repro.faults.injector.
-FaultyKernelAPI` must *not* forward ``measure_many``, so a faulted
-resident run takes the agent's classic per-pid measurement path and
-replays the identical per-call fault RNG draw sequence as the strict
-kernel.
+Plus the fault-injection seam: a faulted resident run replays the
+identical per-call fault RNG draw sequence as the strict kernel.
 """
 
 from __future__ import annotations
@@ -37,8 +34,8 @@ from repro.kernel.resident import (
 )
 
 # The array-backed fields, each with (value strategy, store column).
-# ``wait_channel`` is handled separately (list column + has_channel
-# mirror); boolean/optional/enum fields encode through the property.
+# ``wait_channel`` is handled separately (a list column);
+# boolean/optional/enum fields encode through the property.
 _FIELD_COLUMNS = {
     "estcpu": "estcpu",
     "priority": "priority",
@@ -148,7 +145,6 @@ def test_encoded_fields_round_trip_through_view_and_store(n, data):
         )
         proc.wait_channel = chan
         assert store.wait_channel[row] == chan
-        assert store.has_channel[row] == (0 if chan is None else 1)
         assert proc.wait_channel == chan
         # Direct store writes are visible through the property too.
         store.boost[row] = NO_VALUE
@@ -191,20 +187,6 @@ def test_store_grow_preserves_rows_and_refreshes_views():
     # design (it aliases the replaced buffer).
     assert store.np_view("estcpu")[0] == 1.5
     assert stale.base is not None  # still a view of the old buffer
-
-
-def test_faulty_kapi_hides_measure_many_from_the_agent():
-    """The agent feature-tests ``measure_many`` with getattr; the fault
-    wrapper must not forward it, so faulted resident runs take the
-    classic per-pid path (per-call fault RNG draw order unchanged)."""
-    from repro.faults.injector import FaultyKernelAPI
-    from repro.kernel import KernelConfig, make_kernel
-    from repro.sim.engine import Engine
-
-    kernel = make_kernel(Engine(seed=0), KernelConfig(backend="resident"))
-    assert getattr(kernel.kapi, "measure_many", None) is not None
-    wrapped = FaultyKernelAPI(kernel.kapi, injector=None)
-    assert getattr(wrapped, "measure_many", None) is None
 
 
 @pytest.mark.parametrize("backend", ["resident"])

@@ -9,14 +9,8 @@ supervision, overload protection, hierarchical share trees), on one
 CPU and on several, and on either side of the process count at which
 ``backend="auto"`` switches from strict to resident.
 
-The resident kernel is run two ways, each compared against strict:
-``batch`` is the configuration ``auto`` picks at scale, where the agent
-reads a whole quantum through the batched
-:meth:`~repro.kernel.resident.ResidentKernelAPI.measure_many`;
-``resident`` hides ``measure_many``, so the agent reads the same kernel
-one pid at a time (:meth:`~repro.alps.agent.AlpsAgent._measure_classic`).
-Both must agree with strict, which also pins the two agent measurement
-paths to each other.
+The challenger cells keep their historical ``batch`` id; they run the
+resident kernel, the configuration ``auto`` picks at scale.
 
 Faulted cells are compared across backends only (a faulted schedule
 legitimately differs from a clean one); their fingerprints embed the
@@ -27,14 +21,13 @@ backends see the identical fault sequence.
 from __future__ import annotations
 
 from functools import lru_cache
-from unittest import mock
 
 import pytest
 
 from repro.alps.config import AlpsConfig
 from repro.faults.plan import FaultPlan, ProcessCrash
 from repro.kernel import Kernel, KernelConfig, RESIDENT_MIN_PROCS, make_kernel
-from repro.kernel.resident import ResidentKernel, ResidentKernelAPI
+from repro.kernel.resident import ResidentKernel
 from repro.perf.differential import (
     TABLE2_SIZES,
     describe_difference,
@@ -45,12 +38,9 @@ from repro.units import ms, sec
 from repro.workloads.scenarios import build_controlled_workload
 from repro.workloads.shares import DISTRIBUTIONS, ShareDistribution, workload_shares
 
-#: Challengers checked against the strict reference: id -> (kernel
-#: backend, whether the agent may read through ``measure_many``).
-CHALLENGERS: dict[str, tuple[str, bool]] = {
-    "batch": ("resident", True),
-    "resident": ("resident", False),
-}
+#: Challengers checked against the strict reference: id -> kernel
+#: backend.
+CHALLENGERS: dict[str, str] = {"batch": "resident"}
 
 #: Seeds of the acceptance sweep.
 SEEDS = (0, 1, 2, 3, 4)
@@ -85,14 +75,8 @@ def _fault_plan() -> FaultPlan:
 
 def _run_challenger(challenger, shares, **kwargs):
     """``fingerprint_run`` for a strict or :data:`CHALLENGERS` id."""
-    if challenger == "strict":
-        return fingerprint_run(shares, backend="strict", **kwargs)
-    backend, batched_reads = CHALLENGERS[challenger]
-    if batched_reads:
-        return fingerprint_run(shares, backend=backend, **kwargs)
-    # The agent feature-tests ``getattr(kapi, "measure_many", None)``.
-    with mock.patch.object(ResidentKernelAPI, "measure_many", None):
-        return fingerprint_run(shares, backend=backend, **kwargs)
+    backend = "strict" if challenger == "strict" else CHALLENGERS[challenger]
+    return fingerprint_run(shares, backend=backend, **kwargs)
 
 
 @lru_cache(maxsize=None)
@@ -162,8 +146,8 @@ def test_backend_matches_strict_all_stacks_at_once(backend):
 @pytest.mark.parametrize("backend", CHALLENGERS)
 def test_stacked_layers_remain_schedule_invisible_on_soa_backends(backend):
     """obs/journal/overload/sharetree must not perturb the resident
-    kernel's schedules either, on either agent read path (the
-    invisibility contract each layer already holds on strict)."""
+    kernel's schedules either (the invisibility contract each layer
+    already holds on strict)."""
     bare = _fingerprint(STACK_MODEL, STACK_N, 0, backend, "plain")
     for stack in STACKS:
         stacked = _fingerprint(STACK_MODEL, STACK_N, 0, backend, stack)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -64,3 +66,22 @@ def test_set_tree_weight_reweighs_the_core():
     eff = tree.effective_shares()
     assert eff[os.getpid()] == 3 * eff[1]
     assert alps.core.subjects[os.getpid()].share == eff[os.getpid()]
+
+
+def test_pid_dead_at_startup_leaves_the_tree():
+    """A pid already gone when control begins departs like any death:
+    its leaf is pruned, so its tree siblings' shares grow."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()  # reaped: the pid no longer exists
+    me, other, dead = os.getpid(), os.getppid(), child.pid
+    tree = ShareTree()
+    tree.group("g", 1)
+    tree.leaf("g/a", sid=me, weight=1)
+    tree.leaf("g/b", sid=dead, weight=1)
+    tree.group("h", 1)
+    tree.leaf("h/c", sid=other, weight=1)
+    alps = HostAlps({me: 1, dead: 1, other: 1}, quantum_s=0.05, sharetree=tree)
+    alps.run(0.0)
+    assert tree.find_sid(dead) is None
+    assert dead not in alps.core.subjects
+    assert alps.core.subjects[me].share == alps.core.subjects[other].share
